@@ -48,7 +48,6 @@ from .oracle import (
 )
 from .pgf import (
     GammaPair,
-    LinkPgfPair,
     PgfTable,
     TruncatedPmf,
     ett,
@@ -83,7 +82,6 @@ __all__ = [
     "f_pair",
     "gamma_pair",
     "GammaPair",
-    "LinkPgfPair",
     "PgfTable",
     "pgf_table",
     "ett",

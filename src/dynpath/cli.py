@@ -22,7 +22,6 @@ means single-threaded); results never depend on the thread count.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,7 +33,7 @@ from .errors import (
     SimulationTimeout,
 )
 from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
-from .oracle import mc_estimate
+from .oracle import _thread_count, mc_estimate
 from .pgf import ett, pmf
 from .validation import run_validation
 
@@ -173,14 +172,6 @@ def load_config(path: str) -> RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DYNPATH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_ett(cfg: RunConfig, out) -> int:

@@ -66,6 +66,7 @@ class SimResult:
 
 
 def _thread_count() -> int:
+    """Worker threads allowed by DYNPATH_THREADS; 1 when unset or malformed."""
     raw = os.environ.get("DYNPATH_THREADS", "")
     try:
         return max(1, int(raw))

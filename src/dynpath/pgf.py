@@ -16,14 +16,24 @@ at powers of beta:
 with phi_i = pi0 F_{i,0} + pi1 F_{i,1}, psi_i = F_{i,0} - F_{i,1} and
 chi_i = pi1 (1 - x_i) - pi0 x_i.  Filling the triangular table of values
 G_i(beta^k) costs O(n^2) scalar work; expected traversal times follow from
-the derivatives at z = 1 and the latency distribution from running the
-same recursion on truncated power-series coefficients.
+the derivatives at z = 1.
+
+Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
+of stages that are themselves PGFs with nonnegative coefficients:
+polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  The
+same law gives F_1's values at powers of beta, its slope at z = 1 (the
+mean delay) and, for the latency distribution, multiplies truncated
+series by F_1 as a linear recurrence, O(k) per stage.  A recurrence with
+nonnegative coefficients adds and never cancels, so rounding error stays
+relative to the coefficients it produces; one common denominator per law
+would not (expanding (1 - (1-p) z)^m amplifies rounding by about p^-m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +45,6 @@ __all__ = [
     "f_pair",
     "gamma_pair",
     "GammaPair",
-    "LinkPgfPair",
     "PgfTable",
     "pgf_table",
     "ett",
@@ -46,6 +55,7 @@ __all__ = [
 _DEN_FLOOR = 1e-300
 _Z_SLACK = 1e-3  # allow finite-difference probes just past z = 1
 _PMF_MAX_K = 10_000_000
+_BLOCK = 64  # coefficients per block of the blocked IIR recurrence
 
 
 def _as_z(z):
@@ -60,23 +70,6 @@ def _guard_den(den) -> None:
         raise NumericalSingularity("denominator vanished during PGF evaluation")
 
 
-def _gy_arr(dyn: EdgeDynamics, z: np.ndarray) -> np.ndarray:
-    den = 1.0 - (1.0 - dyn.p) * z
-    _guard_den(den)
-    return dyn.p * z / den
-
-
-def gy(dyn: EdgeDynamics, z):
-    """Generating function of the geometric off-period duration Y.
-
-    Pr(Y = k) = (1-p)^(k-1) p for k >= 1, hence p z / (1 - (1-p) z).
-    Accepts a scalar or an ndarray of evaluation points with |z| <= 1.
-    """
-    arr, scalar = _as_z(z)
-    out = _gy_arr(dyn, arr)
-    return float(out) if scalar else out
-
-
 def _check_feasible(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> None:
     # A retransmitting link that drops every on-slot can never string
     # together two consecutive on-slots: any support value >= 2 diverges.
@@ -86,81 +79,238 @@ def _check_feasible(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) 
         )
 
 
-def _gs_arr(length: LengthDist, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for v, pr in zip(length.values, length.probs):
-        out += pr * z**v
-    return out
+# --- per-link laws: PGFs built from nonnegative stages ---
 
 
-def _f1_cant_start(dyn, length, z):
-    return _gs_arr(length, z)
+def _horner(coeffs, w):
+    """sum_i coeffs[i] w^i; a float when there is only coeffs[0]."""
+    acc = coeffs[-1]
+    for ci in coeffs[-2::-1]:
+        acc = acc * w + ci if ci else acc * w
+    return acc
 
 
-def _f1_resume(dyn, length, z):
-    # Crossing needs d cumulative on-slots; each of the d-1 seams is a
-    # (1-q) pass-through or a q-weighted geometric outage.
-    a = 1.0 - dyn.q * (1.0 - _gy_arr(dyn, z))
-    out = np.zeros_like(z)
-    for v, pr in zip(length.values, length.probs):
-        out += pr if v == 0 else pr * z**v * a ** (v - 1)
-    return out
+class LinkLaw:
+    """A PGF written as a cascade of stages with nonnegative coefficients.
+
+    Every law has ``value(z)``, its values on an ndarray of points;
+    ``at_one()``, its value and slope at z = 1; and ``apply(x)``, which
+    multiplies each row of ``x``, a truncated power series, by it.
+    """
 
 
-def _f1_retransmit_identical(dyn, length, z):
-    # Condition on the realized length u.  An attempt survives u slots
-    # with probability (1-q)^(u-1); each failure costs the partial on-run
-    # W < u plus a geometric repair, giving a rational per-u term
-    #   z^u (1-q)^(u-1) / (1 - G_Y(z) E[z^W; W < u]).
-    q = dyn.q
-    g = _gy_arr(dyn, z)
-    out = np.zeros_like(z)
-    for v, pr in zip(length.values, length.probs):
-        if v == 0:
-            out += pr
-            continue
-        ew = np.zeros_like(z)
-        for i in range(v - 1):
-            ew += (1.0 - q) ** i * z**i
-        ew *= q * z
-        den = 1.0 - g * ew
+class _Z(LinkLaw):
+    """z itself, a one-slot delay."""
+
+    def value(self, z):
+        return z
+
+    def at_one(self):
+        return 1.0, 1.0
+
+    def apply(self, x):
+        out = np.zeros_like(x)
+        out[:, 1:] = x[:, :-1]
+        return out
+
+
+class _Poly(LinkLaw):
+    """sum_i a[i] w^i with every a[i] >= 0, in a law w that defaults to z."""
+
+    def __init__(self, a, w: LinkLaw = _Z()):
+        self.a, self.w = tuple(float(ai) for ai in a), w
+        if min(self.a) < 0.0:
+            raise NumericalSingularity(f"polynomial stage with a negative coefficient: {a}")
+
+    def value(self, z):
+        return _horner(self.a, self.w.value(z))
+
+    def at_one(self):
+        w1, slope = self.w.at_one()
+        da = [i * ai for i, ai in enumerate(self.a)][1:] or [0.0]
+        return _horner(self.a, w1), _horner(da, w1) * slope
+
+    def apply(self, x):
+        acc = self.a[-1] * x
+        for ai in self.a[-2::-1]:
+            acc = self.w.apply(acc)
+            if ai:
+                acc += ai * x
+        return acc
+
+
+class _Iir(LinkLaw):
+    """1 / (1 - c(z)): the recurrence y_t = x_t + sum_j c[j] y_{t-j}.
+
+    Requires c[0] = 0, every c[j] >= 0 and ``slack`` = 1 - c(1) > 0 from a
+    closed form; values use 1 - c(z) = slack + sum_j c[j] (1 - z^j), which
+    does not cancel near z = 1.  Series are filtered in blocks of B
+    coefficients: one B x B lower-triangular Toeplitz product of the
+    impulse response per block, plus a nonnegative carry of the last
+    len(c) - 1 outputs from block to block.
+    """
+
+    def __init__(self, c, slack: float):
+        self.c, self.slack = tuple(float(cj) for cj in c), float(slack)
+        proper = len(self.c) >= 2 and self.c[0] == 0.0 and min(self.c) >= 0.0
+        if not (proper and self.slack > 0.0 and abs(self.slack + math.fsum(self.c) - 1.0) <= 1e-9):
+            raise NumericalSingularity(
+                f"1/(1 - c(z)) with c = {list(self.c)}, 1 - c(1) = {slack} "
+                "is not a nonnegative recurrence"
+            )
+
+    def value(self, z):
+        den = self.slack
+        for j, cj in enumerate(self.c):
+            if cj:
+                den = den + cj * (1.0 - z**j)
         _guard_den(den)
-        out += pr * z**v * (1.0 - q) ** (v - 1) / den
-    return out
+        return 1.0 / den
+
+    def at_one(self):
+        slope = math.fsum(j * cj for j, cj in enumerate(self.c))
+        return 1.0 / self.slack, slope / self.slack**2
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.array(self.c)
+        r = c.size - 1
+        width = max(_BLOCK, r)
+        h = np.zeros(width)
+        h[0] = 1.0
+        for t in range(1, width):
+            j = min(r, t)
+            h[t] = np.dot(c[1 : j + 1], h[t - 1 :: -1][:j])
+        lag = np.subtract.outer(np.arange(width), np.arange(width))
+        toeplitz = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+        # Input a block receives from the previous block's last r outputs
+        # s[0..r-1] = y_{s-r}, ..., y_{s-1}: e_i = sum_{l >= i} c[i + r - l] s[l].
+        inject = np.zeros((r, r))
+        for i in range(r):
+            inject[i, i:] = c[r:i:-1]
+        return toeplitz, toeplitz[:, :r] @ inject
+
+    def apply(self, x):
+        toeplitz, carry = self._blocks
+        width, r = carry.shape
+        rows, n = x.shape
+        nb = -(-n // width)
+        padded = np.zeros((rows, nb * width))
+        padded[:, :n] = x
+        y = (padded.reshape(rows * nb, width) @ toeplitz.T).reshape(rows, nb, width)
+        for b in range(1, nb):
+            y[:, b] += y[:, b - 1, -r:] @ carry.T
+        return y.reshape(rows, nb * width)[:, :n]
 
 
-def _retransmit_resampled_nm(dyn, length, z):
-    # First-attempt win term N and mid-run failure term M of the renewal
-    # equation F_1 = N + G_Y M F_1, everything a finite sum because the
-    # length support is finite.  The 1/(1-q) factors of the closed forms
-    # cancel here, so q = 1 needs no special casing.
+class _Sum(LinkLaw):
+    """Sum of cascades: each term is a tuple of laws applied in turn, () being 1."""
+
+    def __init__(self, *terms: tuple[LinkLaw, ...]):
+        self.terms = terms
+
+    def value(self, z):
+        return sum(math.prod(law.value(z) for law in term) for term in self.terms)
+
+    def at_one(self):
+        total, slope = 0.0, 0.0
+        for term in self.terms:
+            v, d = 1.0, 0.0
+            for law in term:
+                lv, ld = law.at_one()
+                v, d = v * lv, d * lv + v * ld
+            total, slope = total + v, slope + d
+        return total, slope
+
+    def apply(self, x):
+        out = np.zeros_like(x)
+        for term in self.terms:
+            y = x
+            for law in term:
+                y = law.apply(y)
+            out += y
+        return out
+
+
+@lru_cache(maxsize=32)  # one G_Y stage, and its blocks, per dynamics
+def _gy_law(dyn: EdgeDynamics) -> LinkLaw:
+    return _Sum((_Poly((0.0, dyn.p)), _Iir((0.0, 1.0 - dyn.p), dyn.p)))
+
+
+def gy(dyn: EdgeDynamics, z):
+    """Generating function of the geometric off-period duration Y.
+
+    Pr(Y = k) = (1-p)^(k-1) p for k >= 1, hence p z / (1 - (1-p) z).
+    Accepts a scalar or an ndarray of evaluation points with |z| <= 1.
+    """
+    arr, scalar = _as_z(z)
+    out = _gy_law(dyn).value(arr)
+    return float(out) if scalar else out
+
+
+def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
+    """1 / (1 - G_Y E) for a failure law E, e[j] weighting z^j, with E(1) = 1 - success.
+
+    Written as 1 + p z E / (1 - c) with c = (1-p) z + p z E, all nonnegative.
+    """
+    if not any(e):
+        return _Sum(())
+    pze = [0.0] + [dyn.p * ej for ej in e]
+    c = list(pze)
+    c[1] += 1.0 - dyn.p
+    return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
+
+
+@lru_cache(maxsize=32)  # a law keeps 33 kB of blocks per recurrence once applied
+def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
+    """F_1 of one link, the crossing delay given the link is on at arrival."""
+    _check_feasible(model, dyn, length)
     q = dyn.q
-    n_ser = np.zeros_like(z)
-    for v, pr in zip(length.values, length.probs):
-        n_ser += pr if v == 0 else pr * z**v * (1.0 - q) ** (v - 1)
-    m_ser = np.zeros_like(z)
-    wmax = length.max_value - 1
-    for w in range(1, wmax + 1):
-        tail = sum(pr for v, pr in zip(length.values, length.probs) if v > w)
-        if tail:
-            m_ser += tail * (1.0 - q) ** (w - 1) * z ** (w - 1)
-    m_ser *= q * z
-    return n_ser, m_ser
-
-
-def _f1_retransmit_resampled(dyn, length, z):
-    n_ser, m_ser = _retransmit_resampled_nm(dyn, length, z)
-    den = 1.0 - _gy_arr(dyn, z) * m_ser
-    _guard_den(den)
-    return n_ser / den
-
-
-_F1_DISPATCH = {
-    FailureModel.CANT_START: _f1_cant_start,
-    FailureModel.RESUME: _f1_resume,
-    FailureModel.RETRANSMIT_IDENTICAL: _f1_retransmit_identical,
-    FailureModel.RETRANSMIT_RESAMPLED: _f1_retransmit_resampled,
-}
+    top = length.max_value
+    atoms = list(zip(length.values, length.probs))
+    if model is FailureModel.CANT_START:
+        b = [0.0] * (top + 1)
+        for v, pr in atoms:
+            b[v] = pr
+        return _Poly(b)
+    if model is FailureModel.RESUME:
+        # Crossing needs d cumulative on-slots; each of the d-1 seams is a
+        # (1-q) pass-through or a q-weighted geometric outage, so
+        # F_1 = pr_0 + z P(w) with w = (1-q) z + q z G_Y and P(w) = sum pr_v w^(v-1).
+        if top == 0:
+            return _Poly((1.0,))
+        a = [0.0] * top
+        terms = []
+        for v, pr in atoms:
+            if v == 0:
+                terms.append((_Poly((pr,)),))
+            else:
+                a[v - 1] = pr
+        w = _Sum((_Poly((0.0, 1.0 - q)),), (_Poly((0.0, q)), _gy_law(dyn)))
+        return _Sum((_Z(), _Poly(a, w)), *terms)
+    if model is FailureModel.RETRANSMIT_IDENTICAL:
+        # Condition on the realized length v.  An attempt survives v slots
+        # with probability (1-q)^(v-1); each failure costs the partial on-run
+        # W < v plus a geometric repair, giving a rational per-v term
+        #   z^v (1-q)^(v-1) / (1 - G_Y(z) E[z^W; W < v]).
+        terms = []
+        for v, pr in atoms:
+            survive = (1.0 - q) ** max(v - 1, 0)
+            win = _Poly([0.0] * v + [pr * survive])
+            e = [0.0] + [q * (1.0 - q) ** i for i in range(v - 1)]
+            terms.append((win, _retry(dyn, e, survive)))
+        return _Sum(*terms)
+    # RETRANSMIT_RESAMPLED: the renewal equation F_1 = N + G_Y M F_1 with
+    # first-attempt win term N and mid-run failure term M, both finite sums
+    # because the length support is finite.
+    n_poly = [0.0] * (top + 1)
+    for v, pr in atoms:
+        n_poly[v] = pr * (1.0 - q) ** max(v - 1, 0)
+    m_poly = [0.0] * top
+    for w in range(1, top):
+        tail = math.fsum(pr for v, pr in atoms if v > w)
+        m_poly[w] = q * tail * (1.0 - q) ** (w - 1)
+    return _Sum((_Poly(n_poly), _retry(dyn, m_poly, math.fsum(n_poly))))
 
 
 def f_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist, z):
@@ -169,10 +319,10 @@ def f_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist, z):
     F_1 conditions on the link being on when the packet arrives, F_0 on it
     being off; F_0 = G_Y F_1 always.  Accepts scalar or ndarray ``z``.
     """
-    _check_feasible(model, dyn, length)
+    law = link_law(model, dyn, length)
     arr, scalar = _as_z(z)
-    f1 = _F1_DISPATCH[model](dyn, length, arr)
-    f0 = _gy_arr(dyn, arr) * f1
+    f1 = law.value(arr) + np.zeros_like(arr)  # a constant law evaluates to a float
+    f0 = _gy_law(dyn).value(arr) * f1
     if scalar:
         return float(f0), float(f1)
     return f0, f1
@@ -189,62 +339,12 @@ class GammaPair:
 def gamma_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> GammaPair:
     """Mean per-link delay conditioned on the arrival state of the link.
 
-    gamma1 = F_1'(1) from the per-model analytic derivative over the finite
-    length support; gamma0 = gamma1 + 1/p since the extra off-period wait
-    is geometric with mean 1/p.
+    gamma1 = F_1'(1), the slope of the link law at z = 1 by the product
+    rule over its stages; gamma0 = gamma1 + 1/p since the extra off-period
+    wait is geometric with mean 1/p.
     """
-    _check_feasible(model, dyn, length)
-    p, q = dyn.p, dyn.q
-    if model is FailureModel.CANT_START:
-        g1 = length.mean()
-    elif model is FailureModel.RESUME:
-        g1 = math.fsum(
-            pr * (v + (v - 1) * q / p)
-            for v, pr in zip(length.values, length.probs)
-            if v >= 1
-        )
-    elif model is FailureModel.RETRANSMIT_IDENTICAL:
-        terms = []
-        for v, pr in zip(length.values, length.probs):
-            if v == 0:
-                continue
-            surv = (1.0 - q) ** (v - 1)
-            # d/dz [1 - G_Y(z) E_v(z)] at z = 1
-            e_v = 1.0 - surv  # E_v(1) = Pr(W < v)
-            e_v_prime = q * math.fsum((1.0 - q) ** i * (i + 1) for i in range(v - 1))
-            d_prime = -(e_v / p + e_v_prime)
-            terms.append(pr * (v * surv - d_prime) / surv)
-        g1 = math.fsum(terms)
-    else:  # RETRANSMIT_RESAMPLED
-        pairs = list(zip(length.values, length.probs))
-        n1 = math.fsum(v * pr * (1.0 - q) ** (v - 1) for v, pr in pairs if v >= 1)
-        tails = []
-        for w in range(1, length.max_value):
-            tails.append((w, sum(pr for v, pr in pairs if v > w)))
-        m1 = q * math.fsum(t * (1.0 - q) ** (w - 1) for w, t in tails)
-        m1_prime = q * math.fsum(w * t * (1.0 - q) ** (w - 1) for w, t in tails)
-        c = 1.0 - m1  # = N(1), the per-attempt success weight
-        d_prime = -(m1 / p + m1_prime)
-        g1 = (n1 - d_prime) / c
-    return GammaPair(gamma1=g1, gamma0=g1 + 1.0 / p)
-
-
-@dataclass(frozen=True)
-class LinkPgfPair:
-    """Bound (failure model, dynamics, length) triple with F_0/F_1 evaluators."""
-
-    model: FailureModel
-    dyn: EdgeDynamics
-    length: LengthDist
-
-    def eval_f1(self, z):
-        return f_pair(self.model, self.dyn, self.length, z)[1]
-
-    def eval_f0(self, z):
-        return f_pair(self.model, self.dyn, self.length, z)[0]
-
-    def gammas(self) -> GammaPair:
-        return gamma_pair(self.model, self.dyn, self.length)
+    gamma1 = link_law(model, dyn, length).at_one()[1]
+    return GammaPair(gamma1=gamma1, gamma0=gamma1 + 1.0 / dyn.p)
 
 
 def _beta_powers(beta: float, count: int) -> np.ndarray:
@@ -338,104 +438,6 @@ def ett(path: PathSpec) -> tuple[float, np.ndarray]:
     return total, per_node
 
 
-# --- truncated power-series arithmetic for the latency distribution ---
-
-
-def _series_mul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    return np.convolve(a, b)[: k + 1]
-
-
-def _series_recip(d: np.ndarray, k: int) -> np.ndarray:
-    # Coefficients of 1/d(z) via the linear recurrence on d's coefficients;
-    # requires d[0] != 0.
-    if abs(d[0]) < _DEN_FLOOR:
-        raise NumericalSingularity("series reciprocal of a zero constant term")
-    r = np.empty(k + 1)
-    r[0] = 1.0 / d[0]
-    for t in range(1, k + 1):
-        r[t] = -np.dot(d[1 : t + 1], r[t - 1 :: -1]) / d[0]
-    return r
-
-
-def _series_gy(dyn: EdgeDynamics, k: int) -> np.ndarray:
-    out = np.zeros(k + 1)
-    if k >= 1:
-        out[1:] = dyn.p * (1.0 - dyn.p) ** np.arange(k)
-    return out
-
-
-def _series_poly(length: LengthDist, k: int, weight=lambda v, pr: pr) -> np.ndarray:
-    out = np.zeros(k + 1)
-    for v, pr in zip(length.values, length.probs):
-        if v <= k:
-            out[v] += weight(v, pr)
-    return out
-
-
-def _series_shift(s: np.ndarray, u: int, k: int) -> np.ndarray:
-    out = np.zeros(k + 1)
-    out[u:] = s[: k + 1 - u]
-    return out
-
-
-def _f1_series(model: FailureModel, dyn: EdgeDynamics, length: LengthDist, k: int) -> np.ndarray:
-    q = dyn.q
-    gy_ser = _series_gy(dyn, k)
-    if model is FailureModel.CANT_START:
-        return _series_poly(length, k)
-    if model is FailureModel.RESUME:
-        a = q * gy_ser
-        a[0] += 1.0 - q  # a(z) = 1 - q (1 - G_Y(z))
-        out = np.zeros(k + 1)
-        one = np.zeros(k + 1)
-        one[0] = 1.0
-        power_cache = {0: one}
-        for v, pr in sorted(zip(length.values, length.probs)):
-            if v == 0:
-                out[0] += pr
-                continue
-            e = v - 1
-            if e not in power_cache:
-                base = max(i for i in power_cache if i <= e)
-                acc = power_cache[base]
-                for i in range(base, e):
-                    acc = _series_mul(acc, a, k)
-                    power_cache[i + 1] = acc
-            out += pr * _series_shift(power_cache[e], v, k)
-        return out
-    if model is FailureModel.RETRANSMIT_IDENTICAL:
-        out = np.zeros(k + 1)
-        for v, pr in zip(length.values, length.probs):
-            if v == 0:
-                out[0] += pr
-                continue
-            e_v = np.zeros(k + 1)
-            for i in range(v - 1):
-                if i + 1 <= k:
-                    e_v[i + 1] = q * (1.0 - q) ** i
-            den = -_series_mul(gy_ser, e_v, k)
-            den[0] += 1.0
-            out += pr * (1.0 - q) ** (v - 1) * _series_shift(_series_recip(den, k), v, k)
-        return out
-    # RETRANSMIT_RESAMPLED
-    n_ser = _series_poly(length, k, weight=lambda v, pr: pr * (1.0 - q) ** max(v - 1, 0))
-    m_ser = np.zeros(k + 1)
-    for w in range(1, length.max_value):
-        tail = sum(pr for v, pr in zip(length.values, length.probs) if v > w)
-        if tail and w <= k:
-            m_ser[w] = tail * q * (1.0 - q) ** (w - 1)
-    den = -_series_mul(gy_ser, m_ser, k)
-    den[0] += 1.0
-    return _series_mul(n_ser, _series_recip(den, k), k)
-
-
-def _f_series(model, dyn, length, k):
-    _check_feasible(model, dyn, length)
-    f1 = _f1_series(model, dyn, length, k)
-    f0 = _series_mul(_series_gy(dyn, k), f1, k)
-    return f0, f1
-
-
 @dataclass(frozen=True)
 class TruncatedPmf:
     """Latency probabilities Pr(T = t) for t = 0..K plus the unaccounted tail."""
@@ -461,11 +463,12 @@ class TruncatedPmf:
 def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     """Latency distribution Pr(T = t) up to degree ``k``, tail mass reported.
 
-    Runs the table recursion in truncated power-series arithmetic: the
-    per-link rational F forms are expanded by linear recurrence on their
-    denominator coefficients, and substituting z -> beta z multiplies
-    coefficient t by beta^t.  When ``k`` is omitted it defaults to
-    ceil(20 * (ett + 1)).
+    Runs the table recursion on truncated power series.  Substituting
+    z -> beta z multiplies coefficient t by beta^t, and each link passes
+    the pair [G_{i-1}(z), G_{i-1}(beta z)] through its ``link_law`` and
+    then G_Y's: every stage is a polynomial or a linear recurrence with
+    nonnegative coefficients, so a link costs O(k) per stage.  When ``k``
+    is omitted it defaults to ceil(20 * (ett + 1)).
     """
     if k is None:
         total, _ = ett(path)
@@ -477,17 +480,13 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     dyn = path.dynamics
     pi0, pi1 = dyn.pi0, dyn.pi1
     beta_pows = _beta_powers(dyn.beta, k + 1)
-    fcache: dict[LengthDist, tuple[np.ndarray, np.ndarray]] = {}
+    gy_law = _gy_law(dyn)
     g = np.zeros(k + 1)
     g[0] = 1.0
-    for i in range(1, path.n + 1):
-        ld = path.lengths[i - 1]
-        if ld not in fcache:
-            fcache[ld] = _f_series(path.model, dyn, ld, k)
-        f0, f1 = fcache[ld]
-        phi = pi0 * f0 + pi1 * f1
-        psi = f0 - f1
-        xi = path.x[i - 1]
+    for xi, ld in zip(path.x, path.lengths):
+        f1g = link_law(path.model, dyn, ld).apply(np.stack((g, g * beta_pows)))
+        f0g = gy_law.apply(f1g)
         chi = (1 - xi) * pi1 - xi * pi0
-        g = _series_mul(phi, g, k) + chi * _series_mul(psi, g * beta_pows, k)
+        # phi g = pi1 F_1 g + pi0 G_Y F_1 g;  psi (g o beta) = (G_Y - 1) F_1 (g o beta)
+        g = pi1 * f1g[0] + pi0 * f0g[0] + chi * (f0g[1] - f1g[1])
     return TruncatedPmf.from_coeffs(g)

@@ -5,21 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF
 
 from dynpath.closedform import bernoulli_ett, max_geom_ett, steady_ett
-from dynpath.errors import InfiniteExpectation
-from dynpath.model import EdgeDynamics, FailureModel, LengthDist, uniform_path
+from dynpath.errors import InfiniteExpectation, NumericalSingularity
+from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import (
     GammaPair,
-    LinkPgfPair,
     ett,
     f_pair,
     gamma_pair,
     gy,
+    link_law,
     pgf_table,
     pmf,
 )
+from dynpath.pgf import _Iir
 
 ALL_LENGTHS = [
     LengthDist.cut(),
@@ -116,10 +120,11 @@ class TestFPair:
         assert np.max(np.abs(fa - fb)) > 1e-6
 
     def test_link_pgf_pair_wrapper(self):
-        pair = LinkPgfPair(FailureModel.RESUME, EdgeDynamics(0.5, 0.5), LengthDist.constant(2))
-        assert pair.eval_f1(1.0) == pytest.approx(1.0)
-        assert pair.eval_f0(0.5) == pytest.approx(gy(pair.dyn, 0.5) * pair.eval_f1(0.5))
-        assert pair.gammas() == gamma_pair(pair.model, pair.dyn, pair.length)
+        model, dyn, length = FailureModel.RESUME, EdgeDynamics(0.5, 0.5), LengthDist.constant(2)
+        assert f_pair(model, dyn, length, 1.0)[1] == pytest.approx(1.0)
+        f0, f1 = f_pair(model, dyn, length, 0.5)
+        assert f0 == pytest.approx(gy(dyn, 0.5) * f1)
+        assert gamma_pair(model, dyn, length) == GammaPair(3.0, 5.0)
 
 
 class TestGammaPair:
@@ -155,6 +160,18 @@ class TestGammaPair:
     def test_divergent_retransmit_rejected(self):
         with pytest.raises(InfiniteExpectation):
             gamma_pair(FailureModel.RETRANSMIT_IDENTICAL, EdgeDynamics(0.5, 1.0), LengthDist.constant(3))
+
+    @pytest.mark.parametrize("p,q", [(0.999999, 0.999999), (1e-4, 0.9999), (0.5, 0.99)])
+    def test_case_collapse_near_q_one(self, p, q):
+        # For a constant length both retransmit models have the same law.
+        # Near q = 1 the per-attempt success (1-q)^(d-1) is tiny, and taking
+        # it as 1 minus the failure weight cancels every digit (at
+        # p = q = 0.999999 that difference is exactly 0).
+        dyn = EdgeDynamics(p, q)
+        for d in (2, 3, 4):
+            ident = gamma_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d))
+            resampled = gamma_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d))
+            assert resampled.gamma1 == pytest.approx(ident.gamma1, rel=1e-12)
 
 
 class TestPgfTable:
@@ -224,8 +241,6 @@ class TestEtt:
             LengthDist.from_pairs([(0, 0.3), (1, 0.7)]),
         )
         dyn = EdgeDynamics(0.45, 0.65)
-        from dynpath.model import PathSpec
-
         for x in itertools.product((0, 1), repeat=3):
             results = [
                 ett(PathSpec(x, lengths, dyn, model))[0] for model in FailureModel
@@ -316,3 +331,68 @@ class TestPmf:
                 series = pmf(path, 40).coeffs
                 exact = exact_pmf_dp(path, 40)
                 np.testing.assert_allclose(series, exact, atol=1e-10)
+
+    @pytest.mark.parametrize("model", list(FailureModel))
+    @pytest.mark.parametrize("q", [1e-3, 0.5])
+    def test_small_p_matches_forward_propagation(self, model, q):
+        """p = 1e-3 leaves 1 - (1-p) z within 1e-3 of zero near z = 1.
+
+        Expanding a law over one common denominator, with factors such as
+        (1 - (1-p) z)^m, amplifies rounding by about p^-m: resume laws
+        written that way missed this comparison by up to 7.9e-8 (length
+        {0, 1, 4}).  The nonnegative stage cascade must not.
+        """
+        dyn = EdgeDynamics(1e-3, q)
+        for length in (LengthDist.constant(3), LengthDist.from_pairs([(0, 0.25), (1, 0.25), (4, 0.5)])):
+            path = uniform_path((0, 1, 0), length, dyn, model)
+            series = pmf(path, 3000).coeffs
+            exact = exact_pmf_dp(path, 3000)
+            np.testing.assert_allclose(series, exact, atol=1e-10)
+
+    def test_negative_stage_coefficient_rejected(self):
+        with pytest.raises(NumericalSingularity):
+            _Iir((0.0, -0.25), 1.25)
+        # EdgeDynamics refuses p > 1, which would give G_Y's recurrence the
+        # coefficient 1 - p < 0; build one past the check to reach the laws.
+        bad = object.__new__(EdgeDynamics)
+        object.__setattr__(bad, "p", 1.5)
+        object.__setattr__(bad, "q", 0.2)
+        for model in (FailureModel.RESUME, FailureModel.RETRANSMIT_IDENTICAL):
+            with pytest.raises(NumericalSingularity):
+                link_law(model, bad, LengthDist.constant(2))
+        for model in FailureModel:
+            with pytest.raises(NumericalSingularity):
+                pmf(uniform_path((0, 1), LengthDist.constant(2), bad, model), 8)
+
+
+# p and q with extra weight at and near both ends of their ranges
+_EDGE_P = st.one_of(st.sampled_from([1e-3, 0.02, 0.98, 1.0]), st.floats(1e-3, 1.0))
+_EDGE_Q = st.one_of(st.sampled_from([0.0, 1e-3, 0.02, 0.98, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _length_dists(draw):
+    values = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    total = math.fsum(weights)
+    return LengthDist(tuple(values), tuple(w / total for w in weights))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    model=st.sampled_from(list(FailureModel)),
+    p=_EDGE_P,
+    q=_EDGE_Q,
+    links=st.lists(st.tuples(st.integers(0, 1), _length_dists()), min_size=1, max_size=4),
+)
+def test_pmf_heterogeneous_paths_match_forward_propagation(model, p, q, links):
+    x, lengths = zip(*links)
+    path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(p, q), model)
+    if model.is_retransmit and q == 1.0 and max(ld.max_value for ld in lengths) >= 2:
+        with pytest.raises(InfiniteExpectation):
+            pmf(path, 30)
+        return
+    series = pmf(path, 30)
+    exact = exact_pmf_dp(path, 30)
+    assert np.max(np.abs(series.coeffs - exact)) <= ABS_TOL_PMF
+    assert abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0) <= ABS_TOL_MASS
