@@ -3,9 +3,10 @@
 Each link of an n-link path follows a two-state on/off Markov chain with
 per-slot repair probability p and failure probability q.  Given the full
 initial configuration, the package computes the exact expected traversal
-time in O(n^2), extracts the latency distribution from the underlying
-generating functions, and cross-checks everything against slot-level
-simulation and absorbing-chain linear algebra.
+time in O(n K), with K = ceil(log 2^-54 / log|1 - p - q|) capped at n,
+extracts the latency distribution from the underlying generating
+functions, and cross-checks everything against slot-level simulation and
+absorbing-chain linear algebra.
 """
 
 from .closedform import (
@@ -51,6 +52,7 @@ from .pgf import (
     PgfTable,
     TruncatedPmf,
     ett,
+    ett_batch,
     f_pair,
     gamma_pair,
     gy,
@@ -85,6 +87,7 @@ __all__ = [
     "PgfTable",
     "pgf_table",
     "ett",
+    "ett_batch",
     "pmf",
     "TruncatedPmf",
     "SimResult",

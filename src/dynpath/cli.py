@@ -15,15 +15,16 @@ Path configurations come from a key-value text file:
 Unknown keys are rejected.  Scalar output is ``key = value`` lines with 12
 significant digits; tabular output is CSV with a header row.  Exit codes:
 0 success, 1 invalid input, 2 divergent expectation, 3 numerical failure,
-4 simulation timeout.  DYNPATH_THREADS caps worker parallelism (absent
-means single-threaded); results never depend on the thread count.
+4 simulation timeout.  DYNPATH_THREADS caps the worker threads of the
+Monte Carlo simulator (absent means single-threaded); results never
+depend on the thread count.  ``sweep`` fills one ETT table for all its
+points.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -33,8 +34,8 @@ from .errors import (
     SimulationTimeout,
 )
 from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
-from .oracle import _thread_count, mc_estimate
-from .pgf import ett, pmf
+from .oracle import mc_estimate
+from .pgf import ett, ett_batch, pmf
 from .validation import run_validation
 
 _SCALAR_KEYS = {
@@ -226,27 +227,26 @@ def cmd_validate(max_n: int, inject_fault: bool, out) -> int:
     return 0 if report.passed else 1
 
 
+def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """The grid start + i*step up to stop, each point rounded to 12 decimals."""
+    values = []
+    i = 0
+    while (v := start + i * step) <= stop + 1e-12:
+        values.append(round(v, 12))
+        i += 1
+    return values
+
+
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, step: float, out) -> int:
     if param not in ("p", "q"):
         raise ConfigurationError(f"sweep parameter must be p or q, got {param!r}")
     if step <= 0:
         raise ConfigurationError(f"sweep step must be positive, got {step}")
-    values = []
-    v = start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        v += step
-
-    def one(value: float) -> float:
-        swept = replace(cfg, **{param: value})
-        return ett(swept.path())[0]
-
-    workers = min(_thread_count(), max(len(values), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, values))
-    else:
-        results = [one(v) for v in values]
+    values = _sweep_values(start, stop, step)
+    results = []
+    if values:
+        paths = [replace(cfg, **{param: value}).path() for value in values]
+        results = ett_batch(paths)[:, -1].tolist()
     out.write("param,value,ett\n")
     for v, e in zip(values, results):
         out.write(f"{param},{_fmt(v)},{_fmt(e)}\n")

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
 from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
@@ -348,6 +346,8 @@ class _AbsorbingChain:
     # -- assembly --
 
     def _build(self) -> None:
+        import scipy.sparse as sp  # imported here: ett, pmf and sweep never need scipy
+
         n = self.n
         self._init: list[tuple[tuple, float]] = []
         index: dict[tuple, int] = {}
@@ -409,6 +409,9 @@ class _AbsorbingChain:
                 a = np.eye(size) - self._P.toarray()
                 h = np.linalg.solve(a, b)
             else:
+                import scipy.sparse as sp
+                import scipy.sparse.linalg as spla
+
                 a = sp.identity(size, format="csc") - self._P.tocsc()
                 h = spla.spsolve(a, b)
         except (np.linalg.LinAlgError, RuntimeError) as exc:

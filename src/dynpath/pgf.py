@@ -14,9 +14,15 @@ at powers of beta:
     G_i(z) = phi_i(z) G_{i-1}(z) + chi_i psi_i(z) G_{i-1}(beta z)
 
 with phi_i = pi0 F_{i,0} + pi1 F_{i,1}, psi_i = F_{i,0} - F_{i,1} and
-chi_i = pi1 (1 - x_i) - pi0 x_i.  Filling the triangular table of values
-G_i(beta^k) costs O(n^2) scalar work; expected traversal times follow from
-the derivatives at z = 1.
+chi_i = pi1 (1 - x_i) - pi0 x_i.  Expected traversal times follow from
+the derivatives at z = 1 and need only G_{i-1}(beta), so the table of
+values G_i(beta^k) is filled for k = 1..K: any PGF has
+|G(z) - G(0)| <= |z|, so past K = ceil(log eps / log|beta|) (eps = 2^-54)
+every column holds G(0) to within eps, and freezing column K costs
+O(n K) instead of the full triangle's O(n^2).  An error bound carried
+through the fill sends a path back to the full table when it exceeds
+1e-12 of the ETT.  ``ett_batch`` fills one table for many paths that share
+their lengths and model.
 
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
@@ -48,6 +54,7 @@ __all__ = [
     "PgfTable",
     "pgf_table",
     "ett",
+    "ett_batch",
     "pmf",
     "TruncatedPmf",
 ]
@@ -56,6 +63,8 @@ _DEN_FLOOR = 1e-300
 _Z_SLACK = 1e-3  # allow finite-difference probes just past z = 1
 _PMF_MAX_K = 10_000_000
 _BLOCK = 64  # coefficients per block of the blocked IIR recurrence
+_EPS = 2.0**-54  # the table keeps the columns with |beta|^k > _EPS
+_TRUNC_REL = 1e-12  # largest truncation bound kept, relative to the ETT
 
 
 def _as_z(z):
@@ -357,33 +366,154 @@ def _beta_powers(beta: float, count: int) -> np.ndarray:
     return out
 
 
-def _link_f_values(path: PathSpec, zs: np.ndarray):
-    """(f0, f1) arrays over the z-grid for each link, shared by length."""
-    cache: dict[LengthDist, tuple[np.ndarray, np.ndarray]] = {}
-    for ld in path.lengths:
-        if ld not in cache:
-            cache[ld] = f_pair(path.model, path.dynamics, ld, zs)
-    return [cache[ld] for ld in path.lengths]
+def _width(beta: float, n: int) -> int:
+    """Columns G(beta^1..beta^w) the table keeps: w = ceil(log eps / log|beta|), at most n.
+
+    Column 0, G(1) = 1, is never needed.  Past column w every column holds
+    G(0) to within |beta|^w <= eps, so the last column is frozen; w = n is
+    the full table, where the frozen column never reaches a needed value.
+    """
+    b = abs(beta)
+    if b == 0.0:
+        return 1
+    if b >= 1.0:
+        return n
+    return min(n, math.ceil(math.log(_EPS) / math.log(b)))
 
 
-def _g_rows(path: PathSpec):
-    """Yield rows of the triangular table: row i holds G_i(beta^k), k = 0..n-i."""
-    n = path.n
-    dyn = path.dynamics
-    pi0, pi1 = dyn.pi0, dyn.pi1
-    zs = _beta_powers(dyn.beta, n + 1)
-    fvals = _link_f_values(path, zs[:n])
-    row = np.ones(n + 1)
-    yield row
-    for i in range(1, n + 1):
-        width = n - i + 1
-        f0, f1 = fvals[i - 1]
-        phi = pi0 * f0[:width] + pi1 * f1[:width]
-        psi = f0[:width] - f1[:width]
-        xi = path.x[i - 1]
-        chi = (1 - xi) * pi1 - xi * pi0
-        row = phi * row[:width] + chi * psi * row[1 : width + 1]
-        yield row
+def _fill(paths: list[PathSpec], full: bool, rows: list | None = None):
+    """Fill the table for paths sharing n, model and lengths, one row per path.
+
+    Returns the per-node expected arrivals, shape (m, n+1), and for each
+    path a bound on their error from truncating the table.  A path keeps
+    ``_width`` columns (all n when ``full``) plus a mirror of its last,
+    which stands in for the frozen G(beta^(w+1)).  A narrower path's grid
+    repeats its last power of beta out to the batch width, so its row holds
+    the same values, bit for bit, as when filled alone.
+
+    The truncation bound b, one per column, runs beside the table:
+    b_i = |phi_i| b_{i-1} + |chi_i psi_i| shift(b_{i-1}), where the shift
+    into the frozen column adds |G(beta^(w+1)) - G(beta^w)| <= |beta|^w +
+    |beta|^(w+1), since |G(z) - G(0)| <= |z| for any PGF.  ``rows``, given
+    for a single path filled in full, collects table rows 1..n without
+    their column 0.
+    """
+    first = paths[0]
+    n, model = first.n, first.model
+    dyn_index: dict[EdgeDynamics, int] = {}
+    di = [dyn_index.setdefault(path.dynamics, len(dyn_index)) for path in paths]
+    len_index: dict[LengthDist, int] = {}
+    li = [len_index.setdefault(ld, len(len_index)) for ld in first.lengths]
+    widths = [n if full else _width(dyn.beta, n) for dyn in dyn_index]
+    w = max(widths)
+
+    # coef[0] is phi and coef[1] psi, per (length, layer, dynamics, column).
+    # Layer 0 serves the table, layer 1 the bound, with absolute values;
+    # the bound is kept only when some path is truncated.
+    coef = np.empty((2, len(len_index), 2, len(dyn_index), w))
+    gam = np.empty((2, len(len_index), len(dyn_index)))
+    inj = [0.0] * len(dyn_index)
+    for d, (dyn, wd) in enumerate(zip(dyn_index, widths)):
+        zs = _beta_powers(dyn.beta, wd + 1)[1:]
+        if wd < w:
+            zs = np.concatenate((zs, np.full(w - wd, zs[-1])))
+        if wd < n:
+            inj[d] = abs(zs[-1]) + abs(zs[-1] * dyn.beta)
+        for l, ld in enumerate(len_index):
+            f0, f1 = f_pair(model, dyn, ld, zs)
+            coef[0, l, 0, d] = dyn.pi0 * f0 + dyn.pi1 * f1
+            coef[1, l, 0, d] = f0 - f1
+            g = gamma_pair(model, dyn, ld)
+            gam[:, l, d] = g.gamma0, g.gamma1
+    depth = 2 if any(inj) else 1
+    if depth == 2:
+        np.abs(coef[:, :, 0], out=coef[:, :, 1])
+    coef = coef[:, :, :depth]
+    gam0, gam1 = gam[:, li]
+    if len(dyn_index) > 1:
+        coef, gam0, gam1 = coef[:, :, :, di], gam0[:, di], gam1[:, di]
+
+    m = len(paths)
+    pi0, pi1 = np.array([(path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
+    bits = np.array([path.x for path in paths])
+    chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
+    chi_layers = np.array([chi, np.abs(chi)])[:depth].transpose(1, 0, 2)[..., None]
+    coef_g, coef_shift = list(coef[0]), list(coef[1])
+
+    bufs = np.zeros((2, depth, m, w + 1))
+    bufs[:, 0] = 1.0
+    # Column w mirrors column w-1 in the table; in the bound it adds the
+    # |beta|^w + |beta|^(w+1) injected at each path's frozen column.  A
+    # path narrower than the batch has its bound mirror at its own width.
+    mirror_add = np.zeros((depth, m))
+    padded = []
+    if depth == 2:
+        inj, mirror = np.array(inj)[di], np.array(widths)[di]
+        narrow = mirror < w
+        mirror_add[1] = np.where(narrow, 0.0, inj)
+        if narrow.any():
+            padded, inj_padded = np.flatnonzero(narrow) * (w + 1) + mirror[narrow], inj[narrow]
+            b_flats = [buf[1].reshape(-1) for buf in bufs]
+            b_flats[0][padded] = inj_padded
+    bufs[0, :, :, w] += mirror_add
+    col1 = np.empty((n, depth, m))
+    # The bound can overflow where it is loose; inf or nan then sends the
+    # path to the full table.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, l in enumerate(li):
+            src, dst = bufs[i & 1], bufs[1 - (i & 1)]
+            c = min(w, n - 1 - i)  # the columns later rows still read
+            col1[i] = src[..., 0]
+            shift = chi_layers[i] * coef_shift[l][..., :c]
+            shift *= src[..., 1 : c + 1]
+            np.multiply(coef_g[l][..., :c], src[..., :c], out=dst[..., :c])
+            dst[..., :c] += shift
+            if c == w:
+                np.add(dst[..., w - 1], mirror_add, out=dst[..., w])
+            if len(padded):
+                # Refreshed every step: a mirror past column c is never read again.
+                b_flat = b_flats[1 - (i & 1)]
+                b_flat[padded] = b_flat[padded - 1] + inj_padded
+            if rows is not None:
+                rows.append(dst[0, 0, :c].copy())
+        bound = np.zeros(m)
+        if depth == 2:
+            bound = (np.abs(gam0 - gam1) * np.abs(chi) * col1[:, 1]).cumsum(axis=0)[-1]
+
+    # Link i contributes its state-averaged mean delay plus a correction
+    # proportional to G_{i-1}(beta), which measures how far the link's
+    # state at the packet's arrival still remembers the initial bit.
+    terms = pi0 * gam0 + pi1 * gam1 + (gam0 - gam1) * chi * col1[:, 0]
+    per_node = np.zeros((m, n + 1))
+    # cumsum adds in order along its axis, so a path's sums do not depend
+    # on the batch around it.
+    per_node[:, 1:] = terms.cumsum(axis=0).T
+    return per_node, bound
+
+
+def ett_batch(paths) -> np.ndarray:
+    """Per-node expected arrival times for m paths in one table fill.
+
+    The paths must share n, failure model and per-link lengths; their
+    dynamics and initial bits may differ.  Returns an (m, n+1) array whose
+    row j is ``ett(paths[j])[1]``, bit for bit.  The table keeps
+    K = ceil(log eps / log|beta|) columns (eps = 2^-54), so the fill costs
+    O(n K).  A path whose accumulated truncation bound exceeds 1e-12 of its
+    ETT is refilled with the full table, as are |beta| = 1 and K >= n.
+    """
+    paths = list(paths)
+    if not paths:
+        raise ValueError("ett_batch needs at least one path")
+    first = paths[0]
+    for path in paths[1:]:
+        if path.n != first.n or path.model is not first.model or path.lengths != first.lengths:
+            raise ValueError("paths in one batch must share n, model and per-link lengths")
+    per_node, bound = _fill(paths, full=False)
+    # nan (an overflowed bound times a zero coefficient) counts as exceeded
+    redo = np.flatnonzero(~(bound <= _TRUNC_REL * np.abs(per_node[:, -1])))
+    if redo.size:
+        per_node[redo] = _fill([paths[j] for j in redo], full=True)[0]
+    return per_node
 
 
 @dataclass(frozen=True)
@@ -400,42 +530,21 @@ class PgfTable:
 
 def pgf_table(path: PathSpec) -> PgfTable:
     """Fill the full table of arrival-time PGF values at powers of beta."""
-    rows = tuple(row for row in _g_rows(path))
-    return PgfTable(beta=path.dynamics.beta, values=rows)
+    rows: list[np.ndarray] = []
+    _fill([path], full=True, rows=rows)
+    values = (np.ones(path.n + 1),) + tuple(np.concatenate(([1.0], row)) for row in rows)
+    return PgfTable(beta=path.dynamics.beta, values=values)
 
 
 def ett(path: PathSpec) -> tuple[float, np.ndarray]:
     """Expected traversal time and per-node expected arrival times.
 
     Returns ``(total, per_node)`` with ``per_node[i]`` the expected time the
-    packet reaches node i (``per_node[0] = 0``, ``per_node[n] = total``).
-    Link i contributes its state-averaged mean delay plus a correction
-    proportional to G_{i-1}(beta), which measures how far the link's state
-    at the packet's arrival still remembers the initial bit.
+    packet reaches node i (``per_node[0] = 0``, ``per_node[n] = total``):
+    ``ett_batch`` for one path.
     """
-    n = path.n
-    dyn = path.dynamics
-    pi0, pi1 = dyn.pi0, dyn.pi1
-    gcache: dict[LengthDist, GammaPair] = {}
-    for ld in path.lengths:
-        if ld not in gcache:
-            gcache[ld] = gamma_pair(path.model, dyn, ld)
-    per_node = np.zeros(n + 1)
-    total = 0.0
-    prev = None
-    for i, row in enumerate(_g_rows(path)):
-        if i >= 1:
-            gam = gcache[path.lengths[i - 1]]
-            xi = path.x[i - 1]
-            chi = (1 - xi) * pi1 - xi * pi0
-            total += (
-                pi0 * gam.gamma0
-                + pi1 * gam.gamma1
-                + (gam.gamma0 - gam.gamma1) * chi * prev[1]
-            )
-            per_node[i] = total
-        prev = row
-    return total, per_node
+    per_node = ett_batch([path])[0]
+    return float(per_node[-1]), per_node
 
 
 @dataclass(frozen=True)

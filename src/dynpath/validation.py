@@ -24,7 +24,7 @@ from .closedform import (
 )
 from .model import EdgeDynamics, FailureModel, LengthDist, uniform_path
 from .oracle import det_slot_time, exact_ett_dp, exact_pmf_dp
-from .pgf import ett
+from .pgf import ett, ett_batch
 
 GRID_PQ = (0.2, 0.5, 0.8)
 GRID_LENGTHS = (
@@ -62,9 +62,9 @@ def oracle_grid_checks(max_n: int, rel_tol: float = 1e-9, perturb: float = 0.0) 
         for (_, ld), model in itertools.product(GRID_LENGTHS, FailureModel):
             for p, q in itertools.product(GRID_PQ, GRID_PQ):
                 dyn = EdgeDynamics(p, q)
-                for x in itertools.product((0, 1), repeat=n):
-                    path = uniform_path(x, ld, dyn, model)
-                    a = ett(path)[0] + perturb
+                paths = [uniform_path(x, ld, dyn, model) for x in itertools.product((0, 1), repeat=n)]
+                for path, total in zip(paths, ett_batch(paths)[:, -1].tolist()):
+                    a = total + perturb
                     b = exact_ett_dp(path)
                     worst = max(worst, abs(a - b) / max(1.0, abs(b)))
                     count += 1
@@ -76,6 +76,12 @@ def oracle_grid_checks(max_n: int, rel_tol: float = 1e-9, perturb: float = 0.0) 
             )
         )
     return out
+
+
+def _config_average(configs, weights, ld: LengthDist, dyn: EdgeDynamics) -> float:
+    """ETT of cant_start paths of constant law ``ld``, averaged over initial configs."""
+    paths = [uniform_path(x, ld, dyn, FailureModel.CANT_START) for x in configs]
+    return sum(w * total for w, total in zip(weights, ett_batch(paths)[:, -1].tolist()))
 
 
 def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
@@ -95,26 +101,24 @@ def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
     # memoryless links: Bernoulli-weighted average over initial configs
     worst = 0.0
     for n in range(1, min(max_n, 4) + 1):
+        configs = list(itertools.product((0, 1), repeat=n))
         for p in (0.3, 0.6):
             dyn = EdgeDynamics(p, 1.0 - p)
+            weights = [math.prod(p if b else 1.0 - p for b in x) for x in configs]
             for _, ld in GRID_LENGTHS:
-                avg = 0.0
-                for x in itertools.product((0, 1), repeat=n):
-                    w = math.prod(p if b else 1.0 - p for b in x)
-                    avg += w * ett(uniform_path(x, ld, dyn, FailureModel.CANT_START))[0]
+                avg = _config_average(configs, weights, ld, dyn)
                 worst = max(worst, abs(avg - bernoulli_ett(p, [ld] * n)))
     out.append(CheckResult("bernoulli_reduction", worst <= tol, f"worst abs err {worst:.3e}"))
 
     # stationary start: pi-weighted average over initial configs
     worst = 0.0
     for n in range(1, min(max_n, 4) + 1):
+        configs = list(itertools.product((0, 1), repeat=n))
         for p, q in ((0.3, 0.6), (0.7, 0.2)):
             dyn = EdgeDynamics(p, q)
+            weights = [math.prod(dyn.pi1 if b else dyn.pi0 for b in x) for x in configs]
             for _, ld in GRID_LENGTHS:
-                avg = 0.0
-                for x in itertools.product((0, 1), repeat=n):
-                    w = math.prod(dyn.pi1 if b else dyn.pi0 for b in x)
-                    avg += w * ett(uniform_path(x, ld, dyn, FailureModel.CANT_START))[0]
+                avg = _config_average(configs, weights, ld, dyn)
                 worst = max(worst, abs(avg - steady_ett(dyn, [ld] * n)))
     out.append(CheckResult("stationary_reduction", worst <= tol, f"worst abs err {worst:.3e}"))
 

@@ -9,6 +9,7 @@ import pytest
 
 from dynpath.cli import (
     RunConfig,
+    _sweep_values,
     config_to_text,
     load_config,
     main,
@@ -278,6 +279,14 @@ class TestSweepCommand:
         assert code == 0
         assert text.strip().splitlines()[1] == "p,0.5,2"
 
+    def test_long_grid_ends_on_its_endpoint(self):
+        # Accumulating the step drifts by 2e-12 over 99800 steps and ends
+        # the grid at 0.998999999998.
+        values = _sweep_values(0.001, 0.999, 1e-5)
+        assert len(values) == 99801
+        assert values[-1] == 0.999
+        assert values[51234] == round(0.001 + 51234 * 1e-5, 12)
+
 
 def test_module_entrypoint_runs(tmp_path):
     cfg = tmp_path / "c.txt"
@@ -289,3 +298,11 @@ def test_module_entrypoint_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ett = 2")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the absorbing-chain oracle; ett, pmf and sweep skip its import.
+    code = "import sys, dynpath.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF
 
 from dynpath.closedform import bernoulli_ett, max_geom_ett, steady_ett
 from dynpath.errors import InfiniteExpectation, NumericalSingularity
+from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import (
     GammaPair,
     ett,
+    ett_batch,
     f_pair,
     gamma_pair,
     gy,
@@ -396,3 +399,85 @@ def test_pmf_heterogeneous_paths_match_forward_propagation(model, p, q, links):
     exact = exact_pmf_dp(path, 30)
     assert np.max(np.abs(series.coeffs - exact)) <= ABS_TOL_PMF
     assert abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0) <= ABS_TOL_MASS
+
+
+# beta = 1 - p - q: zero, small of either sign, fast and slow mixing, and
+# the p = q = 1 corner where nothing decays
+_BETAS = (0.0, 0.01, -0.01, 0.5, -0.8, 0.9, 0.999, -1.0)
+
+
+def _dynamics_with_beta(beta, u):
+    """Dynamics with p + q = 1 - beta, p placed by u in (0, 1] in its feasible range."""
+    lo, hi = max(0.0, -beta), min(1.0, 1.0 - beta)
+    p = lo + u * (hi - lo)
+    return EdgeDynamics(p, min(1.0, max(0.0, 1.0 - beta - p)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    model=st.sampled_from(list(FailureModel)),
+    betas=st.lists(st.sampled_from(_BETAS), min_size=2, max_size=3),
+    u=st.floats(0.01, 1.0),
+    laws=st.lists(_length_dists(), min_size=1, max_size=3),
+    extra=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([pgf_module._EPS, 1e-3, 0.3]),
+)
+def test_truncated_ett_matches_full_table(model, betas, u, laws, extra, seed, eps):
+    """Paths longer than the table width K: the frozen column costs <= 1e-12.
+
+    The batch mixes dynamics (so widths) and initial bits over one length
+    sequence; each of its rows must be the single-path ett bit for bit.
+    Wider truncation targets than the default make the error bound trip,
+    so the full-table fallback is exercised too.
+    """
+    with mock.patch.object(pgf_module, "_EPS", eps):
+        _check_truncated_against_full(model, betas, u, laws, extra, seed)
+
+
+def _check_truncated_against_full(model, betas, u, laws, extra, seed):
+    rng = np.random.default_rng(seed)
+    dyns = [_dynamics_with_beta(beta, u) for beta in betas]
+    n = min(pgf_module._width(dyns[0].beta, 10**6), 400) + extra
+    lengths = tuple(laws[k] for k in rng.integers(len(laws), size=n))
+    paths = [PathSpec(tuple(rng.integers(0, 2, size=n).tolist()), lengths, dyn, model) for dyn in dyns]
+    if model.is_retransmit and any(d.q == 1.0 for d in dyns) and max(ld.max_value for ld in laws) >= 2:
+        with pytest.raises(InfiniteExpectation):
+            ett_batch(paths)
+        return
+    batch = ett_batch(paths)
+    bounds = pgf_module._fill(paths, full=False)[1]
+    for row, bound, path in zip(batch, bounds, paths):
+        single = ett(path)[1]
+        assert np.array_equal(row, single)
+        # the same truncation bound, hence the same fallback decision
+        assert bound == pgf_module._fill([path], full=False)[1][0]
+        full = pgf_module._fill([path], full=True)[0][0]
+        assert np.all(np.abs(single - full) <= 1e-12 * np.abs(full))
+
+
+def test_too_narrow_table_falls_back_to_full(monkeypatch):
+    # 40 cut-through links at beta = 0.9: the table needs 356 columns.
+    path = uniform_path((0, 1) * 20, LengthDist.cut(), EdgeDynamics(0.05, 0.05), FailureModel.CANT_START)
+    full = pgf_module._fill([path], full=True)[0][0]
+    monkeypatch.setattr(pgf_module, "_EPS", 0.5)  # 7 columns
+    narrow, bound = pgf_module._fill([path], full=False)
+    assert bound[0] > pgf_module._TRUNC_REL * narrow[0, -1]
+    assert not np.array_equal(narrow[0], full)
+    assert np.array_equal(ett(path)[1], full)
+    assert np.array_equal(ett_batch([path, path])[1], full)
+
+
+def test_ett_batch_rejects_mismatched_paths():
+    dyn = EdgeDynamics(0.3, 0.4)
+    base = uniform_path((0, 1), LengthDist.soa(), dyn, FailureModel.RESUME)
+    others = (
+        uniform_path((0, 1, 1), LengthDist.soa(), dyn, FailureModel.RESUME),
+        uniform_path((0, 1), LengthDist.soa(), dyn, FailureModel.CANT_START),
+        uniform_path((0, 1), LengthDist.constant(2), dyn, FailureModel.RESUME),
+    )
+    for other in others:
+        with pytest.raises(ValueError):
+            ett_batch([base, other])
+    with pytest.raises(ValueError):
+        ett_batch([])
