@@ -39,7 +39,6 @@ from .model import (
     uniform_path,
 )
 from .oracle import (
-    JointState,
     SimResult,
     det_slot_time,
     det_slot_time_batch,
@@ -49,14 +48,12 @@ from .oracle import (
 )
 from .pgf import (
     GammaPair,
-    PgfTable,
     TruncatedPmf,
     ett,
     ett_batch,
     f_pair,
     gamma_pair,
     gy,
-    pgf_table,
     pmf,
 )
 
@@ -84,14 +81,11 @@ __all__ = [
     "f_pair",
     "gamma_pair",
     "GammaPair",
-    "PgfTable",
-    "pgf_table",
     "ett",
     "ett_batch",
     "pmf",
     "TruncatedPmf",
     "SimResult",
-    "JointState",
     "mc_estimate",
     "exact_ett_dp",
     "exact_pmf_dp",

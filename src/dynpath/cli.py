@@ -10,7 +10,7 @@ Path configurations come from a key-value text file:
     edge = 1 0                # <initial 0|1> <constant length>
     edge = 0 pmf 0:0.5 2:0.5  # <initial 0|1> pmf <value>:<prob> ...
     # optional command defaults, overridable by flags:
-    # k, samples, seed, horizon, sweep_param, sweep_from, sweep_to, sweep_step
+    # k, samples, seed, sweep_param, sweep_from, sweep_to, sweep_step
 
 Unknown keys are rejected.  Scalar output is ``key = value`` lines with 12
 significant digits; tabular output is CSV with a header row.  Exit codes:
@@ -45,7 +45,6 @@ _SCALAR_KEYS = {
     "k": int,
     "samples": int,
     "seed": int,
-    "horizon": int,
     "sweep_param": str,
     "sweep_from": float,
     "sweep_to": float,
@@ -64,7 +63,6 @@ class RunConfig:
     k: int | None = None
     samples: int | None = None
     seed: int | None = None
-    horizon: int | None = None
     sweep_param: str | None = None
     sweep_from: float | None = None
     sweep_to: float | None = None
@@ -84,16 +82,10 @@ class RunConfig:
             raise ConfigurationError(str(exc)) from exc
 
 
-def _parse_edge(rest: str) -> tuple[int, LengthDist]:
-    parts = rest.split()
-    if len(parts) < 2:
-        raise ConfigurationError(f"edge needs an initial state and a length: {rest!r}")
-    if parts[0] not in ("0", "1"):
-        raise ConfigurationError(f"edge initial state must be 0 or 1, got {parts[0]!r}")
-    initial = int(parts[0])
-    if parts[1] == "pmf":
+def _parse_length(parts: list[str], rest: str) -> LengthDist:
+    if parts[0] == "pmf":
         pairs = []
-        for item in parts[2:]:
+        for item in parts[1:]:
             try:
                 v, pr = item.split(":")
                 pairs.append((int(v), float(pr)))
@@ -102,15 +94,29 @@ def _parse_edge(rest: str) -> tuple[int, LengthDist]:
         if not pairs:
             raise ConfigurationError("pmf edge needs at least one value:prob pair")
         try:
-            return initial, LengthDist.from_pairs(pairs)
+            return LengthDist.from_pairs(pairs)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
-    if len(parts) != 2:
+    if len(parts) != 1:
         raise ConfigurationError(f"constant edge takes exactly one length: {rest!r}")
     try:
-        return initial, LengthDist.constant(int(parts[1]))
+        return LengthDist.constant(int(parts[0]))
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
+
+
+def _parse_edge(rest: str, laws: dict[str, LengthDist]) -> tuple[int, LengthDist]:
+    """Parse one edge; ``laws`` maps each length text already seen to its law."""
+    parts = rest.split()
+    if len(parts) < 2:
+        raise ConfigurationError(f"edge needs an initial state and a length: {rest!r}")
+    if parts[0] not in ("0", "1"):
+        raise ConfigurationError(f"edge initial state must be 0 or 1, got {parts[0]!r}")
+    key = " ".join(parts[1:])
+    law = laws.get(key)
+    if law is None:
+        law = laws[key] = _parse_length(parts[1:], rest)
+    return int(parts[0]), law
 
 
 def _edge_text(initial: int, ld: LengthDist) -> str:
@@ -124,6 +130,7 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse the key-value configuration format; unknown keys are rejected."""
     scalars: dict[str, object] = {}
     edges: list[tuple[int, LengthDist]] = []
+    laws: dict[str, LengthDist] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,7 +139,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "edge":
-            edges.append(_parse_edge(value))
+            edges.append(_parse_edge(value, laws))
         elif key in _SCALAR_KEYS:
             if key in scalars:
                 raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
@@ -156,7 +163,7 @@ def config_to_text(cfg: RunConfig) -> str:
     """Serialize a configuration; parsing the result reproduces it exactly."""
     lines = [f"p = {cfg.p!r}", f"q = {cfg.q!r}", f"model = {cfg.model}"]
     lines += [_edge_text(b, ld) for b, ld in cfg.edges]
-    for key in ("k", "samples", "seed", "horizon", "sweep_param", "sweep_from", "sweep_to", "sweep_step"):
+    for key in ("k", "samples", "seed", "sweep_param", "sweep_from", "sweep_to", "sweep_step"):
         val = getattr(cfg, key)
         if val is not None:
             lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")

@@ -31,7 +31,6 @@ from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
 
 __all__ = [
     "SimResult",
-    "JointState",
     "mc_estimate",
     "exact_ett_dp",
     "exact_pmf_dp",
@@ -209,24 +208,6 @@ def mc_estimate(path: PathSpec, samples: int, seed: int) -> SimResult:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Joint packet/link state between slots.
-
-    ``config`` holds the states of the links still ahead of the packet,
-    least significant position first (the current link).  ``progress`` is 0
-    while the current link is awaited and counts completed units while a
-    crossing is in flight; ``realized`` is the drawn length of the crossing
-    in flight (kept across attempts only when retransmission lengths are
-    identical per link).
-    """
-
-    node: int
-    progress: int
-    realized: int | None
-    config: tuple[int, ...]
-
-
 class _AbsorbingChain:
     """Absorbing chain over resolved joint states, shared by every initial config."""
 
@@ -387,15 +368,6 @@ class _AbsorbingChain:
         self._P = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
         self._absorb = np.array(absorb)
 
-    def states(self) -> list[JointState]:
-        """Resolved states as structured records (current link first in config)."""
-        out = []
-        for node, prog, real, cfg in self._order:
-            m = self.n - node
-            bits = tuple((cfg >> j) & 1 for j in range(m))
-            out.append(JointState(node=node, progress=prog, realized=real, config=bits))
-        return out
-
     def _hitting(self) -> np.ndarray:
         if self._h is not None:
             return self._h
@@ -447,7 +419,9 @@ class _AbsorbingChain:
         return out
 
 
-@lru_cache(maxsize=256)
+# Callers reuse a chain only across consecutive calls, and one chain can
+# hold up to _STATE_CAP states, so only a few are kept.
+@lru_cache(maxsize=8)
 def _chain(dynamics: EdgeDynamics, model: FailureModel, lengths: tuple[LengthDist, ...]):
     return _AbsorbingChain(dynamics, model, lengths)
 
@@ -461,12 +435,11 @@ def exact_ett_dp(path: PathSpec) -> float:
     return _chain(path.dynamics, path.model, path.lengths).ett(path.x)
 
 
-def exact_pmf_dp(path: PathSpec, horizon: int, initial: str = "fixed", bernoulli_p: float | None = None) -> np.ndarray:
+def exact_pmf_dp(path: PathSpec, horizon: int, initial: str = "fixed") -> np.ndarray:
     """Exact Pr(T = t) for t = 0..horizon by forward propagation.
 
     ``initial`` selects how link states are drawn at time 0: "fixed" uses
-    ``path.x``, "stationary" draws each link from its stationary law, and
-    "bernoulli" draws each link on with probability ``bernoulli_p``.
+    ``path.x`` and "stationary" draws each link from its stationary law.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
@@ -474,13 +447,8 @@ def exact_pmf_dp(path: PathSpec, horizon: int, initial: str = "fixed", bernoulli
     n = path.n
     if initial == "fixed":
         weights = {chain._config_int(path.x): 1.0}
-    elif initial in ("stationary", "bernoulli"):
-        if initial == "stationary":
-            p_on = path.dynamics.pi1
-        else:
-            if bernoulli_p is None:
-                raise ValueError("bernoulli initial mode needs bernoulli_p")
-            p_on = bernoulli_p
+    elif initial == "stationary":
+        p_on = path.dynamics.pi1
         weights = {}
         for cfg in range(1 << n):
             w = 1.0

@@ -51,8 +51,6 @@ __all__ = [
     "f_pair",
     "gamma_pair",
     "GammaPair",
-    "PgfTable",
-    "pgf_table",
     "ett",
     "ett_batch",
     "pmf",
@@ -381,7 +379,7 @@ def _width(beta: float, n: int) -> int:
     return min(n, math.ceil(math.log(_EPS) / math.log(b)))
 
 
-def _fill(paths: list[PathSpec], full: bool, rows: list | None = None):
+def _fill(paths: list[PathSpec], full: bool):
     """Fill the table for paths sharing n, model and lengths, one row per path.
 
     Returns the per-node expected arrivals, shape (m, n+1), and for each
@@ -394,9 +392,7 @@ def _fill(paths: list[PathSpec], full: bool, rows: list | None = None):
     The truncation bound b, one per column, runs beside the table:
     b_i = |phi_i| b_{i-1} + |chi_i psi_i| shift(b_{i-1}), where the shift
     into the frozen column adds |G(beta^(w+1)) - G(beta^w)| <= |beta|^w +
-    |beta|^(w+1), since |G(z) - G(0)| <= |z| for any PGF.  ``rows``, given
-    for a single path filled in full, collects table rows 1..n without
-    their column 0.
+    |beta|^(w+1), since |G(z) - G(0)| <= |z| for any PGF.
     """
     first = paths[0]
     n, model = first.n, first.model
@@ -474,8 +470,6 @@ def _fill(paths: list[PathSpec], full: bool, rows: list | None = None):
                 # Refreshed every step: a mirror past column c is never read again.
                 b_flat = b_flats[1 - (i & 1)]
                 b_flat[padded] = b_flat[padded - 1] + inj_padded
-            if rows is not None:
-                rows.append(dst[0, 0, :c].copy())
         bound = np.zeros(m)
         if depth == 2:
             bound = (np.abs(gam0 - gam1) * np.abs(chi) * col1[:, 1]).cumsum(axis=0)[-1]
@@ -514,26 +508,6 @@ def ett_batch(paths) -> np.ndarray:
     if redo.size:
         per_node[redo] = _fill([paths[j] for j in redo], full=True)[0]
     return per_node
-
-
-@dataclass(frozen=True)
-class PgfTable:
-    """Triangular table values[i][k] = G_i(beta^k) for i = 0..n, k = 0..n-i."""
-
-    beta: float
-    values: tuple[np.ndarray, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-
-def pgf_table(path: PathSpec) -> PgfTable:
-    """Fill the full table of arrival-time PGF values at powers of beta."""
-    rows: list[np.ndarray] = []
-    _fill([path], full=True, rows=rows)
-    values = (np.ones(path.n + 1),) + tuple(np.concatenate(([1.0], row)) for row in rows)
-    return PgfTable(beta=path.dynamics.beta, values=values)
 
 
 def ett(path: PathSpec) -> tuple[float, np.ndarray]:

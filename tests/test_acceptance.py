@@ -20,7 +20,6 @@ from dynpath.closedform import (
     det_traversal_time_batch,
     max_geom_ett,
     steady_ett,
-    steady_pmf_as_printed,
 )
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import (
@@ -31,15 +30,10 @@ from dynpath.oracle import (
     mc_estimate,
 )
 from dynpath.pgf import ett, f_pair, gamma_pair, gy, pmf
+from dynpath.validation import GRID_LENGTHS, GRID_PQ, eq1_discrepancy_table
 
-GRID_PQ = [(p, q) for p in (0.2, 0.5, 0.8) for q in (0.2, 0.5, 0.8)]
-GRID_LENGTHS = [
-    LengthDist.cut(),
-    LengthDist.soa(),
-    LengthDist.constant(2),
-    LengthDist.constant(3),
-    LengthDist.from_pairs([(0, 0.5), (2, 0.5)]),
-]
+PQ_PAIRS = list(itertools.product(GRID_PQ, repeat=2))
+LENGTHS = [ld for _, ld in GRID_LENGTHS]
 
 REL_TOL_ETT = 1e-9
 ABS_TOL_PMF = 1e-10
@@ -64,9 +58,9 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     count = 0
     for n in range(1, 6):
-        for length in GRID_LENGTHS:
+        for length in LENGTHS:
             for model in FailureModel:
-                for p, q in GRID_PQ:
+                for p, q in PQ_PAIRS:
                     dyn = EdgeDynamics(p, q)
                     for x in itertools.product((0, 1), repeat=n):
                         path = uniform_path(x, length, dyn, model)
@@ -84,9 +78,9 @@ def test_criterion_2_distribution_equivalence():
     worst_mass = 0.0
     count = 0
     for n in range(1, 5):
-        for length in GRID_LENGTHS:
+        for length in LENGTHS:
             for model in FailureModel:
-                for p, q in GRID_PQ:
+                for p, q in PQ_PAIRS:
                     dyn = EdgeDynamics(p, q)
                     for x in itertools.product((0, 1), repeat=n):
                         path = uniform_path(x, length, dyn, model)
@@ -165,7 +159,7 @@ def test_criterion_4_closed_form_reductions():
     for p in (0.2, 0.5, 0.8):
         dyn = EdgeDynamics(p, 1.0 - p)
         for n in range(1, 5):
-            for length in GRID_LENGTHS:
+            for length in LENGTHS:
                 avg = 0.0
                 for x in itertools.product((0, 1), repeat=n):
                     w = math.prod(p if b else 1.0 - p for b in x)
@@ -176,7 +170,7 @@ def test_criterion_4_closed_form_reductions():
     for p, q in ((0.2, 0.8), (0.5, 0.5), (0.8, 0.2), (0.3, 0.4)):
         dyn = EdgeDynamics(p, q)
         for n in range(1, 5):
-            for length in GRID_LENGTHS:
+            for length in LENGTHS:
                 avg = 0.0
                 for x in itertools.product((0, 1), repeat=n):
                     w = math.prod(dyn.pi1 if b else dyn.pi0 for b in x)
@@ -259,25 +253,14 @@ def test_criterion_5_deterministic_setting():
 
 
 def test_criterion_6_printed_stationary_pmf_characterization():
-    rows = 0
-    max_dev = 0.0
-    pinned = True
-    for n in (1, 2, 3):
-        for p, q in itertools.product((0.3, 0.6), repeat=2):
-            dyn = EdgeDynamics(p, q)
-            for d in (0, 1, 2):
-                big_d = n * d
-                path = uniform_path((1,) * n, LengthDist.constant(d), dyn, FailureModel.CANT_START)
-                exact = exact_pmf_dp(path, 25, initial="stationary")
-                for t in range(26):
-                    dev = abs(steady_pmf_as_printed(dyn, n, big_d, t) - exact[t])
-                    max_dev = max(max_dev, dev)
-                rows += 1
-                # the pinned defect: zero printed mass at the minimum latency
-                if steady_pmf_as_printed(dyn, n, big_d, big_d) != 0.0:
-                    pinned = False
-                if abs(exact[big_d] - dyn.pi1**n) > 1e-9:
-                    pinned = False
+    table, _ = eq1_discrepancy_table(3)
+    rows = len(table)
+    max_dev = max(row[4] for row in table)
+    # the pinned defect: zero printed mass at the minimum latency
+    pinned = all(
+        printed_at_d == 0.0 and abs(exact_at_d - EdgeDynamics(p, q).pi1**n) <= 1e-9
+        for n, p, q, _, _, _, printed_at_d, exact_at_d in table
+    )
     ok = rows == 36 and pinned
     _report(
         6,
@@ -289,7 +272,7 @@ def test_criterion_6_printed_stationary_pmf_characterization():
 
 
 def test_criterion_7_structural_identities():
-    lengths_pool = GRID_LENGTHS + [LengthDist.from_pairs([(1, 0.25), (3, 0.75)])]
+    lengths_pool = LENGTHS + [LengthDist.from_pairs([(1, 0.25), (3, 0.75)])]
     z_grid = np.linspace(-1.0, 1.0, 41)
     # (i) off-arrival factorization F0 = G_Y F1
     rng = np.random.default_rng(90210)
@@ -305,7 +288,7 @@ def test_criterion_7_structural_identities():
     # (ii) mean gap gamma0 - gamma1 = 1/p
     worst_gap = 0.0
     for model in FailureModel:
-        for p, q in GRID_PQ:
+        for p, q in PQ_PAIRS:
             dyn = EdgeDynamics(p, q)
             for length in lengths_pool:
                 g = gamma_pair(model, dyn, length)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import dynpath
 from dynpath.cli import (
     RunConfig,
     _sweep_values,
@@ -59,7 +60,6 @@ class TestConfigParsing:
             k=25,
             samples=1000,
             seed=7,
-            horizon=40,
             sweep_param="p",
             sweep_from=0.1,
             sweep_to=0.9,
@@ -84,11 +84,18 @@ class TestConfigParsing:
             "p = 0.5\nq = 0.5\nmodel = warp\nedge = 1 0\n",  # unknown model
             "p = 0\nq = 0.5\nmodel = cant_start\nedge = 1 0\n",  # invalid dynamics
             "p = 0.5\nq = 0.5\nmodel = cant_start\nedge = 1 pmf 0:0.6 2:0.6\n",  # bad pmf
+            BASIC + "horizon = 40\n",  # horizon is not a key
         ],
     )
     def test_rejects_bad_config(self, text):
         with pytest.raises(ConfigurationError):
             parse_config_text(text)
+
+    def test_edges_share_one_law_per_length_text(self):
+        cfg = parse_config_text(BASIC + "edge = 1 pmf 0:0.5 2:0.5\nedge = 0 pmf  0:0.5 2:0.5\n")
+        laws = [ld for _, ld in cfg.edges]
+        assert laws[0] is laws[1]
+        assert laws[2] is laws[3]
 
 
 class TestEttCommand:
@@ -298,6 +305,11 @@ def test_module_entrypoint_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ett = 2")
+
+
+def test_package_exports_resolve():
+    missing = [name for name in dynpath.__all__ if not hasattr(dynpath, name)]
+    assert missing == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

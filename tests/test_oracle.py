@@ -103,15 +103,15 @@ class TestExactEtt:
             FailureModel.RETRANSMIT_IDENTICAL,
         )
         chain = oracle._chain(path.dynamics, path.model, path.lengths)
-        for state in chain.states():
-            assert 0 <= state.node < path.n
-            assert len(state.config) == path.n - state.node
-            if state.progress > 0:
-                assert state.realized is not None
-                assert state.progress < state.realized
-            if state.progress == 0 and state.config[0] == 0:
+        for node, progress, realized, cfg in chain._order:
+            assert 0 <= node < path.n
+            assert 0 <= cfg < 2 ** (path.n - node)
+            if progress > 0:
+                assert realized is not None
+                assert progress < realized
+            if progress == 0 and cfg & 1 == 0:
                 # awaited link: no partial progress is possible
-                assert state.progress == 0
+                assert progress == 0
 
 
 class TestExactPmf:
@@ -129,8 +129,9 @@ class TestExactPmf:
 
     def test_bernoulli_initial_matches_balls_in_bins(self):
         p = 0.5
+        # memoryless links (q = 1 - p) start on with probability pi1 = p
         path = uniform_path((1, 1), LengthDist.cut(), EdgeDynamics(p, 1.0 - p), FailureModel.CANT_START)
-        arr = exact_pmf_dp(path, 30, initial="bernoulli", bernoulli_p=p)
+        arr = exact_pmf_dp(path, 30, initial="stationary")
         for t in range(31):
             assert arr[t] == pytest.approx(bernoulli_pmf(p, 2, 0, t), abs=1e-12)
 

@@ -23,7 +23,6 @@ from dynpath.pgf import (
     gamma_pair,
     gy,
     link_law,
-    pgf_table,
     pmf,
 )
 from dynpath.pgf import _Iir
@@ -175,34 +174,6 @@ class TestGammaPair:
             ident = gamma_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d))
             resampled = gamma_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d))
             assert resampled.gamma1 == pytest.approx(ident.gamma1, rel=1e-12)
-
-
-class TestPgfTable:
-    def test_single_on_cut_link(self):
-        path = uniform_path((1,), LengthDist.cut(), EdgeDynamics(0.5, 0.5), FailureModel.CANT_START)
-        table = pgf_table(path)
-        assert table.values[1][0] == pytest.approx(1.0)
-
-    def test_instant_first_hop(self):
-        path = uniform_path((1, 0), LengthDist.cut(), EdgeDynamics(0.5, 0.5), FailureModel.CANT_START)
-        table = pgf_table(path)
-        # beta = 0 and link 1 is an on zero-length link, so T_1 = 0 surely
-        assert table.values[1][1] == pytest.approx(1.0)
-
-    def test_table_shape_and_bounds(self):
-        path = uniform_path(
-            (0, 1, 1, 0), LengthDist.constant(2), EdgeDynamics(0.3, 0.2), FailureModel.RESUME
-        )
-        table = pgf_table(path)
-        n = path.n
-        assert table.n == n
-        for i, row in enumerate(table.values):
-            assert len(row) == n - i + 1
-            assert np.all(np.abs(row) <= 1.0 + 1e-9)
-        assert np.all(table.values[0] == 1.0)
-        # normalization column: G_i(beta^0) = G_i(1) = 1
-        for row in table.values:
-            assert row[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEtt:
