@@ -25,7 +25,6 @@ from .errors import (
     ConfigurationError,
     DynpathError,
     InfiniteExpectation,
-    NoStationaryDistribution,
     NumericalSingularity,
     SimulationTimeout,
 )
@@ -34,7 +33,6 @@ from .model import (
     FailureModel,
     LengthDist,
     PathSpec,
-    stationary,
     transient_prob,
     uniform_path,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "FailureModel",
     "PathSpec",
     "transient_prob",
-    "stationary",
     "uniform_path",
     "DeterministicPath",
     "det_traversal_time",
@@ -92,7 +89,6 @@ __all__ = [
     "det_slot_time",
     "det_slot_time_batch",
     "DynpathError",
-    "NoStationaryDistribution",
     "NumericalSingularity",
     "InfiniteExpectation",
     "ConfigurationError",

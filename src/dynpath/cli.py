@@ -119,13 +119,6 @@ def _parse_edge(rest: str, laws: dict[str, LengthDist]) -> tuple[int, LengthDist
     return int(parts[0]), law
 
 
-def _edge_text(initial: int, ld: LengthDist) -> str:
-    if ld.is_constant:
-        return f"edge = {initial} {ld.values[0]}"
-    body = " ".join(f"{v}:{pr!r}" for v, pr in zip(ld.values, ld.probs))
-    return f"edge = {initial} pmf {body}"
-
-
 def parse_config_text(text: str) -> RunConfig:
     """Parse the key-value configuration format; unknown keys are rejected."""
     scalars: dict[str, object] = {}
@@ -157,17 +150,6 @@ def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig(edges=tuple(edges), **scalars)  # type: ignore[arg-type]
     cfg.path()  # re-validate every module-level invariant on load
     return cfg
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    """Serialize a configuration; parsing the result reproduces it exactly."""
-    lines = [f"p = {cfg.p!r}", f"q = {cfg.q!r}", f"model = {cfg.model}"]
-    lines += [_edge_text(b, ld) for b, ld in cfg.edges]
-    for key in ("k", "samples", "seed", "sweep_param", "sweep_from", "sweep_to", "sweep_step"):
-        val = getattr(cfg, key)
-        if val is not None:
-            lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str) -> RunConfig:
@@ -206,10 +188,13 @@ def cmd_pmf(cfg: RunConfig, k: int | None, fmt: str, out) -> int:
 
 def cmd_simulate(cfg: RunConfig, samples: int, seed: int, hist_path: str, out) -> int:
     result = mc_estimate(cfg.path(), samples, seed)
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write("t,count\n")
-        for t in sorted(result.histogram):
-            fh.write(f"{t},{result.histogram[t]}\n")
+    try:
+        with open(hist_path, "w", encoding="utf-8") as fh:
+            fh.write("t,count\n")
+            for t in sorted(result.histogram):
+                fh.write(f"{t},{result.histogram[t]}\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write histogram {hist_path}: {exc}") from exc
     out.write(f"mean = {_fmt(result.mean)}\n")
     out.write(f"stderr = {_fmt(result.stderr)}\n")
     out.write(f"samples = {result.samples}\n")
@@ -316,15 +301,14 @@ def main(argv=None, out=None) -> int:
             samples = args.samples if args.samples is not None else (cfg.samples or 100_000)
             seed = args.seed if args.seed is not None else (cfg.seed or 0)
             return cmd_simulate(cfg, samples, seed, args.histogram, out)
-        if args.command == "sweep":
-            param = args.param or cfg.sweep_param
-            start = args.start if args.start is not None else cfg.sweep_from
-            stop = args.stop if args.stop is not None else cfg.sweep_to
-            step = args.step if args.step is not None else cfg.sweep_step
-            if param is None or start is None or stop is None or step is None:
-                raise ConfigurationError("sweep needs --param, --from, --to and --step")
-            return cmd_sweep(cfg, param, start, stop, step, out)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        # the required subparsers leave sweep as the only other command
+        param = args.param or cfg.sweep_param
+        start = args.start if args.start is not None else cfg.sweep_from
+        stop = args.stop if args.stop is not None else cfg.sweep_to
+        step = args.step if args.step is not None else cfg.sweep_step
+        if param is None or start is None or stop is None or step is None:
+            raise ConfigurationError("sweep needs --param, --from, --to and --step")
+        return cmd_sweep(cfg, param, start, stop, step, out)
     except (ConfigurationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -51,10 +51,6 @@ class DeterministicPath:
         if any(d < 0 for d in self.lengths):
             raise ValueError(f"lengths must be nonnegative, got {self.lengths}")
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
 
 def det_traversal_time_batch(bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Vectorized alternating-setting traversal times under the can't-start model.

@@ -5,10 +5,6 @@ class DynpathError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NoStationaryDistribution(DynpathError):
-    """The two-state chain has no unique stationary distribution (p = q = 0)."""
-
-
 class NumericalSingularity(DynpathError):
     """A denominator collapsed below the safe evaluation threshold."""
 

@@ -20,15 +20,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NoStationaryDistribution
-
 __all__ = [
     "EdgeDynamics",
     "LengthDist",
     "FailureModel",
     "PathSpec",
     "transient_prob",
-    "stationary",
     "uniform_path",
 ]
 
@@ -208,9 +205,3 @@ def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int) -> float:
         return pi0 * (1.0 - bt) if b == 0 else pi1 + pi0 * bt
     return pi1 * (1.0 - bt) if b == 1 else pi0 + pi1 * bt
 
-
-def stationary(dyn: EdgeDynamics) -> tuple[float, float]:
-    """Long-run (off, on) state probabilities, (q/(p+q), p/(p+q))."""
-    if dyn.p + dyn.q == 0.0:
-        raise NoStationaryDistribution("p = q = 0 leaves every state absorbing")
-    return dyn.pi0, dyn.pi1

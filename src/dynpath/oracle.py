@@ -224,7 +224,6 @@ class _AbsorbingChain:
         ):
             raise InfiniteExpectation("retransmit with q = 1 never completes length >= 2")
         self.n = n
-        self.dyn = dynamics
         self.model = model
         self.lengths = lengths
         p, q = dynamics.p, dynamics.q
@@ -372,9 +371,6 @@ class _AbsorbingChain:
         if self._h is not None:
             return self._h
         size = self._P.shape[0]
-        if size == 0:
-            self._h = np.zeros(0)
-            return self._h
         b = np.ones(size)
         try:
             if size <= _DENSE_CUTOFF:

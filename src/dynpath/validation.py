@@ -22,8 +22,9 @@ from .closedform import (
     steady_ett,
     steady_pmf_as_printed,
 )
+from .errors import ConfigurationError
 from .model import EdgeDynamics, FailureModel, LengthDist, uniform_path
-from .oracle import det_slot_time, exact_ett_dp, exact_pmf_dp
+from .oracle import _MAX_N, det_slot_time, exact_ett_dp, exact_pmf_dp
 from .pgf import ett, ett_batch
 
 GRID_PQ = (0.2, 0.5, 0.8)
@@ -34,6 +35,9 @@ GRID_LENGTHS = (
     ("const3", LengthDist.constant(3)),
     ("pmf_0_2", LengthDist.from_pairs([(0, 0.5), (2, 0.5)])),
 )
+_REL_TOL = 1e-9  # generating-function ETT against the chain solve
+_ABS_TOL = 1e-9  # general engine against each closed form
+_EQ1_T_MAX = 25  # last slot of the printed-versus-exact pmf comparison
 
 
 @dataclass
@@ -53,7 +57,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def oracle_grid_checks(max_n: int, rel_tol: float = 1e-9, perturb: float = 0.0) -> list[CheckResult]:
+def oracle_grid_checks(max_n: int, perturb: float = 0.0) -> list[CheckResult]:
     """Generating-function ETT against the absorbing-chain solve, all configs."""
     out = []
     for n in range(1, max_n + 1):
@@ -71,7 +75,7 @@ def oracle_grid_checks(max_n: int, rel_tol: float = 1e-9, perturb: float = 0.0) 
         out.append(
             CheckResult(
                 name=f"oracle_equivalence_n{n}",
-                passed=worst <= rel_tol,
+                passed=worst <= _REL_TOL,
                 detail=f"{count} instances, worst rel err {worst:.3e}",
             )
         )
@@ -84,7 +88,7 @@ def _config_average(configs, weights, ld: LengthDist, dyn: EdgeDynamics) -> floa
     return sum(w * total for w, total in zip(weights, ett_batch(paths)[:, -1].tolist()))
 
 
-def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
+def reduction_checks(max_n: int) -> list[CheckResult]:
     """Closed-form specializations recovered from the general engine."""
     out = []
 
@@ -96,7 +100,7 @@ def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
         for p in (0.3, 0.7):
             path = uniform_path(bits, LengthDist.cut(), EdgeDynamics(p, 0.0), FailureModel.CANT_START)
             worst = max(worst, abs(ett(path)[0] - max_geom_ett(n_hat, p)))
-    out.append(CheckResult("max_geometric_reduction", worst <= tol, f"worst abs err {worst:.3e}"))
+    out.append(CheckResult("max_geometric_reduction", worst <= _ABS_TOL, f"worst abs err {worst:.3e}"))
 
     # memoryless links: Bernoulli-weighted average over initial configs
     worst = 0.0
@@ -108,7 +112,7 @@ def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
             for _, ld in GRID_LENGTHS:
                 avg = _config_average(configs, weights, ld, dyn)
                 worst = max(worst, abs(avg - bernoulli_ett(p, [ld] * n)))
-    out.append(CheckResult("bernoulli_reduction", worst <= tol, f"worst abs err {worst:.3e}"))
+    out.append(CheckResult("bernoulli_reduction", worst <= _ABS_TOL, f"worst abs err {worst:.3e}"))
 
     # stationary start: pi-weighted average over initial configs
     worst = 0.0
@@ -120,7 +124,7 @@ def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
             for _, ld in GRID_LENGTHS:
                 avg = _config_average(configs, weights, ld, dyn)
                 worst = max(worst, abs(avg - steady_ett(dyn, [ld] * n)))
-    out.append(CheckResult("stationary_reduction", worst <= tol, f"worst abs err {worst:.3e}"))
+    out.append(CheckResult("stationary_reduction", worst <= _ABS_TOL, f"worst abs err {worst:.3e}"))
 
     # alternating-link closed forms against the slot simulator
     bad = 0
@@ -140,7 +144,7 @@ def reduction_checks(max_n: int, tol: float = 1e-9) -> list[CheckResult]:
     return out
 
 
-def eq1_discrepancy_table(max_n: int, t_max: int = 25):
+def eq1_discrepancy_table(max_n: int):
     """Characterize the printed stationary-start pmf against the exact one.
 
     Returns (rows, check): rows hold per-instance deviation summaries and
@@ -157,10 +161,10 @@ def eq1_discrepancy_table(max_n: int, t_max: int = 25):
                 ld = LengthDist.constant(d)
                 big_d = n * d
                 path = uniform_path((1,) * n, ld, dyn, FailureModel.CANT_START)
-                exact = exact_pmf_dp(path, t_max, initial="stationary")
+                exact = exact_pmf_dp(path, _EQ1_T_MAX, initial="stationary")
                 dev = 0.0
                 t_at = 0
-                for t in range(t_max + 1):
+                for t in range(_EQ1_T_MAX + 1):
                     printed = steady_pmf_as_printed(dyn, n, big_d, t)
                     if abs(printed - exact[t]) > dev:
                         dev = abs(printed - exact[t])
@@ -183,12 +187,17 @@ def eq1_discrepancy_table(max_n: int, t_max: int = 25):
 def run_validation(max_n: int, inject_fault: bool = False) -> ValidationReport:
     """Run every validation family up to ``max_n`` links.
 
+    A ``max_n`` above the exact engine's limit raises ConfigurationError
+    before any check runs.
+
     ``inject_fault`` perturbs the analytic ETT before comparison; the run
     must then fail, which proves the harness can detect a broken build.
     """
     report = ValidationReport()
     if max_n < 1:
         return report
+    if max_n > _MAX_N:
+        raise ConfigurationError(f"exact engine supports n <= {_MAX_N}, got {max_n}")
     perturb = 1e-3 if inject_fault else 0.0
     report.checks.extend(oracle_grid_checks(max_n, perturb=perturb))
     report.checks.extend(reduction_checks(max_n))

@@ -8,14 +8,8 @@ import sys
 import pytest
 
 import dynpath
-from dynpath.cli import (
-    RunConfig,
-    _sweep_values,
-    config_to_text,
-    load_config,
-    main,
-    parse_config_text,
-)
+import dynpath.validation as validation
+from dynpath.cli import RunConfig, _sweep_values, main, parse_config_text
 from dynpath.errors import ConfigurationError
 from dynpath.model import LengthDist
 
@@ -52,7 +46,21 @@ def kv(text):
 
 class TestConfigParsing:
     def test_round_trip(self):
-        cfg = RunConfig(
+        text = """
+p = 0.35
+q = 0.15
+model = retransmit_resampled
+edge = 1 2
+edge = 0 pmf 0:0.5 2:0.5
+k = 25
+samples = 1000
+seed = 7
+sweep_param = p
+sweep_from = 0.1
+sweep_to = 0.9
+sweep_step = 0.2
+"""
+        assert parse_config_text(text) == RunConfig(
             p=0.35,
             q=0.15,
             model="retransmit_resampled",
@@ -65,7 +73,6 @@ class TestConfigParsing:
             sweep_to=0.9,
             sweep_step=0.2,
         )
-        assert parse_config_text(config_to_text(cfg)) == cfg
 
     def test_parses_basic(self):
         cfg = parse_config_text(BASIC)
@@ -85,6 +92,13 @@ class TestConfigParsing:
             "p = 0\nq = 0.5\nmodel = cant_start\nedge = 1 0\n",  # invalid dynamics
             "p = 0.5\nq = 0.5\nmodel = cant_start\nedge = 1 pmf 0:0.6 2:0.6\n",  # bad pmf
             BASIC + "horizon = 40\n",  # horizon is not a key
+            BASIC + "edge = 1 pmf 0-0.5\n",  # pmf entry without ':'
+            BASIC + "edge = 1 pmf\n",  # pmf with no entries
+            BASIC + "edge = 1 2 3\n",  # two constant lengths
+            BASIC + "edge = 1 -1\n",  # negative length
+            BASIC + "edge = 1\n",  # no length
+            BASIC + "edge 1 0\n",  # no '='
+            "p = abc\nq = 0.5\nmodel = cant_start\nedge = 1 0\n",  # non-numeric p
         ],
     )
     def test_rejects_bad_config(self, text):
@@ -206,6 +220,20 @@ class TestSimulateCommand:
         assert float(kv(text)["mean"]) == 1.0
         assert hist.read_text().strip().splitlines()[1] == "1,5000"
 
+    def test_unwritable_histogram_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SINGLE_OFF_CUT)
+        hist = tmp_path / "absent" / "h.csv"
+        code, text = run_cli(
+            ["simulate", "--config", str(cfg), "--samples", "100", "--seed", "1",
+             "--histogram", str(hist)]
+        )
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write histogram {hist}: ")
+        assert err.count("\n") == 1
+
     def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.txt"
         cfg.write_text(SINGLE_OFF_CUT)
@@ -242,6 +270,16 @@ class TestValidateCommand:
         code, text = run_cli(["validate", "--max-n", "1", "--inject-fault"])
         assert code == 1
         assert "result = FAIL" in text
+
+    def test_above_exact_limit_fails_before_any_check(self, monkeypatch, capsys):
+        def grid_ran(*args, **kwargs):
+            raise AssertionError("the oracle grid ran")
+
+        monkeypatch.setattr(validation, "oracle_grid_checks", grid_ran)
+        code, text = run_cli(["validate", "--max-n", "9"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: exact engine supports n <= 8, got 9\n"
 
 
 class TestSweepCommand:
@@ -285,6 +323,24 @@ class TestSweepCommand:
         code, text = run_cli(["sweep", "--config", str(cfg)])
         assert code == 0
         assert text.strip().splitlines()[1] == "p,0.5,2"
+
+    @pytest.mark.parametrize(
+        "extra,args",
+        [
+            ("", ["--param", "p", "--from", "0.1", "--to", "0.5", "--step", "0"]),
+            ("sweep_param = x\n", ["--from", "0.1", "--to", "0.5", "--step", "0.1"]),
+            ("", []),
+        ],
+        ids=["zero_step", "config_param_x", "no_options"],
+    )
+    def test_bad_sweep_options_exit_1(self, tmp_path, capsys, extra, args):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SINGLE_OFF_CUT + extra)
+        code, text = run_cli(["sweep", "--config", str(cfg)] + args)
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep ") and err.count("\n") == 1
 
     def test_long_grid_ends_on_its_endpoint(self):
         # Accumulating the step drifts by 2e-12 over 99800 steps and ends

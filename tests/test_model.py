@@ -5,13 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from dynpath.errors import NoStationaryDistribution
 from dynpath.model import (
     EdgeDynamics,
     FailureModel,
     LengthDist,
     PathSpec,
-    stationary,
     transient_prob,
     uniform_path,
 )
@@ -75,7 +73,7 @@ class TestTransientProb:
     def test_converges_to_stationary(self, p, q):
         dyn = EdgeDynamics(p, q)
         assert abs(dyn.beta) <= 0.9
-        pi = stationary(dyn)
+        pi = (dyn.pi0, dyn.pi1)
         for a in (0, 1):
             for b in (0, 1):
                 assert transient_prob(dyn, a, b, 200) == pytest.approx(pi[b], abs=1e-9)
@@ -87,22 +85,16 @@ class TestTransientProb:
 
 class TestStationary:
     def test_symmetric(self):
-        assert stationary(EdgeDynamics(0.5, 0.5)) == pytest.approx((0.5, 0.5))
+        dyn = EdgeDynamics(0.5, 0.5)
+        assert (dyn.pi0, dyn.pi1) == pytest.approx((0.5, 0.5))
 
     def test_general(self):
-        assert stationary(EdgeDynamics(0.3, 0.1)) == pytest.approx((0.25, 0.75))
+        dyn = EdgeDynamics(0.3, 0.1)
+        assert (dyn.pi0, dyn.pi1) == pytest.approx((0.25, 0.75))
 
     def test_absorbing_on_state(self):
-        assert stationary(EdgeDynamics(1.0, 0.0)) == pytest.approx((0.0, 1.0))
-
-    def test_degenerate_chain_rejected(self):
-        # p = q = 0 cannot pass EdgeDynamics validation; the defensive branch
-        # still guards a hand-built instance.
-        dyn = object.__new__(EdgeDynamics)
-        object.__setattr__(dyn, "p", 0.0)
-        object.__setattr__(dyn, "q", 0.0)
-        with pytest.raises(NoStationaryDistribution):
-            stationary(dyn)
+        dyn = EdgeDynamics(1.0, 0.0)
+        assert (dyn.pi0, dyn.pi1) == pytest.approx((0.0, 1.0))
 
 
 class TestLengthDist:

@@ -18,6 +18,7 @@ from dynpath.oracle import (
     mc_estimate,
 )
 from dynpath.pgf import ett
+from test_acceptance import REL_TOL_ETT
 
 
 class TestMonteCarlo:
@@ -214,3 +215,11 @@ class TestAgainstGeneralEngine:
             for x in itertools.product((0, 1), repeat=3):
                 path = PathSpec(x, lengths, dyn, model)
                 assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=1e-9, abs=1e-9)
+
+    def test_sparse_solve_matches_pgf(self):
+        path = uniform_path(
+            (0, 1) * 4, LengthDist.constant(4), EdgeDynamics(0.3, 0.6), FailureModel.RESUME
+        )
+        chain = oracle._chain(path.dynamics, path.model, path.lengths)
+        assert chain._P.shape[0] > oracle._DENSE_CUTOFF  # 2,040 states: the sparse LU solves it
+        assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=REL_TOL_ETT)
