@@ -34,9 +34,7 @@ from .errors import (
     SimulationTimeout,
 )
 from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
-from .oracle import mc_estimate
 from .pgf import ett, ett_batch, pmf
-from .validation import run_validation
 
 _SCALAR_KEYS = {
     "p": float,
@@ -187,6 +185,8 @@ def cmd_pmf(cfg: RunConfig, k: int | None, fmt: str, out) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, samples: int, seed: int, hist_path: str, out) -> int:
+    from .oracle import mc_estimate  # the other commands need neither oracle nor its imports
+
     result = mc_estimate(cfg.path(), samples, seed)
     try:
         with open(hist_path, "w", encoding="utf-8") as fh:
@@ -204,6 +204,8 @@ def cmd_simulate(cfg: RunConfig, samples: int, seed: int, hist_path: str, out) -
 
 
 def cmd_validate(max_n: int, inject_fault: bool, out) -> int:
+    from .validation import run_validation
+
     report = run_validation(max_n, inject_fault=inject_fault)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

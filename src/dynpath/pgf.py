@@ -19,10 +19,14 @@ the derivatives at z = 1 and need only G_{i-1}(beta), so the table of
 values G_i(beta^k) is filled for k = 1..K: any PGF has
 |G(z) - G(0)| <= |z|, so past K = ceil(log eps / log|beta|) (eps = 2^-54)
 every column holds G(0) to within eps, and freezing column K costs
-O(n K) instead of the full triangle's O(n^2).  An error bound carried
-through the fill sends a path back to the full table when it exceeds
-1e-12 of the ETT.  ``ett_batch`` fills one table for many paths that share
-their lengths and model.
+O(n K) instead of the full triangle's O(n^2).  Rows end sooner still:
+|G_{i-1}(beta)| <= |beta|^T_min(i), with T_min(i) the sum of the shortest
+lengths of the first i links, so the fill stops at the row R past which
+those terms weigh at most eps T_min(n) <= eps ETT, and costs O(n + R K).
+An error bound carried through the fill, the dropped rows included, sends
+a path back to the full table when it exceeds 1e-12 of the ETT.
+``ett_batch`` fills one table for many paths that share their lengths and
+model.
 
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
@@ -67,13 +71,13 @@ _TRUNC_REL = 1e-12  # largest truncation bound kept, relative to the ETT
 
 def _as_z(z):
     arr = np.asarray(z, dtype=float)
-    if arr.size and np.max(np.abs(arr)) > 1.0 + _Z_SLACK:
+    if arr.size and np.abs(arr).max() > 1.0 + _Z_SLACK:
         raise ValueError("generating functions are evaluated on |z| <= 1")
     return arr, np.isscalar(z) or arr.ndim == 0
 
 
 def _guard_den(den) -> None:
-    if np.min(np.abs(den)) < _DEN_FLOOR:
+    if np.abs(den).min() < _DEN_FLOOR:
         raise NumericalSingularity("denominator vanished during PGF evaluation")
 
 
@@ -343,6 +347,7 @@ class GammaPair:
     gamma0: float
 
 
+@lru_cache(maxsize=32)  # as link_law: the slope walks every stage of the law
 def gamma_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> GammaPair:
     """Mean per-link delay conditioned on the arrival state of the link.
 
@@ -379,6 +384,27 @@ def _width(beta: float, n: int) -> int:
     return min(n, math.ceil(math.log(_EPS) / math.log(b)))
 
 
+def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray, cut: np.ndarray):
+    """Per path, the first row R whose tail of the table weighs at most eps * T_min(n).
+
+    Link i adds weight[i] G_{i-1}(beta) to the ETT, and |G_{i-1}(beta)| =
+    |E beta^T_{i-1}| <= |beta|^T_min(i), with T_min(i) the sum of the
+    shortest lengths of the first i links.  So taking G_{i-1}(beta) = 0 for
+    i >= R moves the ETT by at most tail = sum_{i >= R} weight[i]
+    |beta|^T_min(i), and R is the first row with tail <= eps * T_min(n).
+    As T_min(n) <= ETT, that is at most eps of the ETT.  ``weight`` is
+    (n, m); returns R and the tail, one each per path.  A path not ``cut``,
+    one that keeps all n columns, keeps all n rows too.
+    """
+    n, m = weight.shape
+    t_min = np.cumsum(min_len)  # T_min(i + 1)
+    decayed = weight * abs_beta ** (t_min - min_len)[:, None]
+    tails = np.zeros((n + 1, m))  # row R: the tail from row R on; row n is 0
+    np.cumsum(decayed[::-1], axis=0, out=tails[n - 1 :: -1])
+    stop = np.where(cut, (tails > _EPS * t_min[-1]).sum(axis=0), n)  # tails never rise
+    return stop, tails[stop, range(m)]
+
+
 def _fill(paths: list[PathSpec], full: bool):
     """Fill the table for paths sharing n, model and lengths, one row per path.
 
@@ -393,6 +419,10 @@ def _fill(paths: list[PathSpec], full: bool):
     b_i = |phi_i| b_{i-1} + |chi_i psi_i| shift(b_{i-1}), where the shift
     into the frozen column adds |G(beta^(w+1)) - G(beta^w)| <= |beta|^w +
     |beta|^(w+1), since |G(z) - G(0)| <= |z| for any PGF.
+
+    A path with fewer than n columns also stops filling rows at its
+    ``_stop_rows`` row R: from there on G_{i-1}(beta) counts as 0, and the
+    tail that bounds what that drops joins the path's bound.
     """
     first = paths[0]
     n, model = first.n, first.model
@@ -435,6 +465,14 @@ def _fill(paths: list[PathSpec], full: bool):
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
     chi_layers = np.array([chi, np.abs(chi)])[:depth].transpose(1, 0, 2)[..., None]
     coef_g, coef_shift = list(coef[0]), list(coef[1])
+    weight = np.abs(gam0 - gam1) * np.abs(chi)  # how much of G_{i-1}(beta) the ETT takes
+    if min(widths) < n:
+        min_len = np.array([min(ld.values) for ld in len_index])[li]
+        abs_beta = np.array([abs(dyn.beta) for dyn in dyn_index])[di]
+        stop, tail = _stop_rows(weight, abs_beta, min_len, np.array(widths)[di] < n)
+    else:
+        stop, tail = np.full(m, n), np.zeros(m)
+    rows = int(stop.max())
 
     bufs = np.zeros((2, depth, m, w + 1))
     bufs[:, 0] = 1.0
@@ -452,13 +490,13 @@ def _fill(paths: list[PathSpec], full: bool):
             b_flats = [buf[1].reshape(-1) for buf in bufs]
             b_flats[0][padded] = inj_padded
     bufs[0, :, :, w] += mirror_add
-    col1 = np.empty((n, depth, m))
+    col1 = np.zeros((n, depth, m))
     # The bound can overflow where it is loose; inf or nan then sends the
     # path to the full table.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, l in enumerate(li):
+        for i, l in enumerate(li[:rows]):
             src, dst = bufs[i & 1], bufs[1 - (i & 1)]
-            c = min(w, n - 1 - i)  # the columns later rows still read
+            c = min(w, rows - 1 - i)  # the columns later rows still read
             col1[i] = src[..., 0]
             shift = chi_layers[i] * coef_shift[l][..., :c]
             shift *= src[..., 1 : c + 1]
@@ -470,9 +508,12 @@ def _fill(paths: list[PathSpec], full: bool):
                 # Refreshed every step: a mirror past column c is never read again.
                 b_flat = b_flats[1 - (i & 1)]
                 b_flat[padded] = b_flat[padded - 1] + inj_padded
-        bound = np.zeros(m)
+        if rows > stop.min():
+            # a path's rows past its own stop were filled for paths that stop later
+            col1 = np.where((np.arange(n)[:, None] >= stop)[:, None], 0.0, col1)
+        bound = tail
         if depth == 2:
-            bound = (np.abs(gam0 - gam1) * np.abs(chi) * col1[:, 1]).cumsum(axis=0)[-1]
+            bound = (weight * col1[:, 1]).cumsum(axis=0)[-1] + tail
 
     # Link i contributes its state-averaged mean delay plus a correction
     # proportional to G_{i-1}(beta), which measures how far the link's
@@ -491,9 +532,13 @@ def ett_batch(paths) -> np.ndarray:
     The paths must share n, failure model and per-link lengths; their
     dynamics and initial bits may differ.  Returns an (m, n+1) array whose
     row j is ``ett(paths[j])[1]``, bit for bit.  The table keeps
-    K = ceil(log eps / log|beta|) columns (eps = 2^-54), so the fill costs
-    O(n K).  A path whose accumulated truncation bound exceeds 1e-12 of its
-    ETT is refilled with the full table, as are |beta| = 1 and K >= n.
+    K = ceil(log eps / log|beta|) columns (eps = 2^-54) and, per path, the
+    R rows before |beta|^T_min has decayed (``_stop_rows``), so the fill
+    costs O(n + R K) with R about K / (mean shortest length); the batch
+    fills as many rows as its longest path needs.  A path whose
+    accumulated truncation bound exceeds 1e-12 of its ETT is refilled with
+    the full table.  |beta| = 1 and K >= n keep every column and every
+    row; T_min(n) = 0 keeps every row.
     """
     paths = list(paths)
     if not paths:

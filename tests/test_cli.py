@@ -374,3 +374,12 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_oracle_and_validation_unloaded():
+    # Only simulate and validate need them; the package imports its names on first use.
+    heavy = ["concurrent.futures", "dynpath.closedform", "dynpath.oracle", "dynpath.validation"]
+    code = f"import sys, dynpath.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

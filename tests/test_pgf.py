@@ -345,8 +345,8 @@ _EDGE_Q = st.one_of(st.sampled_from([0.0, 1e-3, 0.02, 0.98, 1.0]), st.floats(0.0
 
 
 @st.composite
-def _length_dists(draw):
-    values = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+def _length_dists(draw, low=0):
+    values = draw(st.lists(st.integers(low, 4), min_size=1, max_size=3, unique=True))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
     total = math.fsum(weights)
     return LengthDist(tuple(values), tuple(w / total for w in weights))
@@ -389,18 +389,20 @@ def _dynamics_with_beta(beta, u):
     model=st.sampled_from(list(FailureModel)),
     betas=st.lists(st.sampled_from(_BETAS), min_size=2, max_size=3),
     u=st.floats(0.01, 1.0),
-    laws=st.lists(_length_dists(), min_size=1, max_size=3),
-    extra=st.integers(1, 40),
+    laws=st.lists(st.one_of(_length_dists(), _length_dists(low=1)), min_size=1, max_size=3),
+    extra=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
     eps=st.sampled_from([pgf_module._EPS, 1e-3, 0.3]),
 )
 def test_truncated_ett_matches_full_table(model, betas, u, laws, extra, seed, eps):
     """Paths longer than the table width K: the frozen column costs <= 1e-12.
 
-    The batch mixes dynamics (so widths) and initial bits over one length
-    sequence; each of its rows must be the single-path ett bit for bit.
-    Wider truncation targets than the default make the error bound trip,
-    so the full-table fallback is exercised too.
+    The batch mixes dynamics (so widths and stop rows) and initial bits over
+    one length sequence; each of its rows must be the single-path ett bit
+    for bit.  Up to 400 links past K, and laws whose shortest length is at
+    least 1, carry most paths with |beta| < 1 past their decay row, where
+    the fill stops.  Wider truncation targets than the default make the
+    error bound trip, so the full-table fallback is exercised too.
     """
     with mock.patch.object(pgf_module, "_EPS", eps):
         _check_truncated_against_full(model, betas, u, laws, extra, seed)
@@ -452,3 +454,83 @@ def test_ett_batch_rejects_mismatched_paths():
             ett_batch([base, other])
     with pytest.raises(ValueError):
         ett_batch([])
+
+
+def _stop_rows(paths):
+    """The rows the fill keeps per path, from gamma_pair link by link; every path has K < n."""
+    weight = []
+    for path in paths:
+        dyn = path.dynamics
+        pairs = (gamma_pair(path.model, dyn, ld) for ld in path.lengths)
+        gaps = [abs(g.gamma0 - g.gamma1) for g in pairs]
+        chi = [dyn.pi0 if xi else dyn.pi1 for xi in path.x]
+        weight.append(np.array(gaps) * np.array(chi))
+    abs_beta = np.array([abs(path.dynamics.beta) for path in paths])
+    min_len = np.array([min(ld.values) for ld in paths[0].lengths])
+    return pgf_module._stop_rows(np.array(weight).T, abs_beta, min_len, np.full(len(paths), True))
+
+
+def _assert_truncated_close(paths):
+    batch = ett_batch(paths)
+    for row, path in zip(batch, paths):
+        assert np.array_equal(row, ett(path)[1])
+        full = pgf_module._fill([path], full=True)[0][0]
+        assert np.all(np.abs(row - full) <= 1e-12 * np.abs(full))
+
+
+def test_zero_length_path_keeps_every_row():
+    # T_min = 0 throughout: no tail of the table is small relative to it.
+    rng = np.random.default_rng(5)
+    x = tuple(rng.integers(0, 2, 300).tolist())
+    path = uniform_path(x, LengthDist.cut(), EdgeDynamics(0.2, 0.3), FailureModel.RESUME)
+    stop, tail = _stop_rows([path])
+    assert stop.tolist() == [300] and tail.tolist() == [0.0]
+    _assert_truncated_close([path])
+
+
+def test_stop_row_waits_for_shortest_lengths_to_grow():
+    # 500 cut-through links leave T_min at 0; 100 links of length 3 follow.
+    # p < q keeps the column bound small over the cut-through run, so the
+    # cut result is the one returned (p > q trips it: ROADMAP, smaller items).
+    rng = np.random.default_rng(6)
+    lengths = (LengthDist.cut(),) * 500 + (LengthDist.constant(3),) * 100
+    x = tuple(rng.integers(0, 2, 600).tolist())
+    path = PathSpec(x, lengths, EdgeDynamics(0.2, 0.3), FailureModel.RESUME)
+    stop, tail = _stop_rows([path])
+    assert 500 < stop[0] < 600
+    assert 0.0 < tail[0] <= pgf_module._EPS * 300
+    _assert_truncated_close([path])
+
+
+def test_mixed_beta_batch_stops_each_path_at_its_own_row(monkeypatch):
+    rng = np.random.default_rng(7)
+    x = tuple(rng.integers(0, 2, 600).tolist())
+    pqs = ((0.5, 0.5), (0.3, 0.2), (0.9, 0.9), (0.05, 0.05))  # beta 0, 0.5, -0.8, 0.9
+    paths = [uniform_path(x, LengthDist.soa(), EdgeDynamics(p, q), FailureModel.CANT_START) for p, q in pqs]
+    stop, _ = _stop_rows(paths)
+    assert len(set(stop.tolist())) == len(paths) and stop.max() < 600
+    _assert_truncated_close(paths)
+    # At eps = 1e-6 the rows a path drops would show in its result: each
+    # batch row must still be that path's own truncated fill, bound included.
+    monkeypatch.setattr(pgf_module, "_EPS", 1e-6)
+    assert len(set(_stop_rows(paths)[0].tolist())) == len(paths)
+    per_node, bound = pgf_module._fill(paths, full=False)
+    for j, path in enumerate(paths):
+        alone = pgf_module._fill([path], full=False)
+        assert np.array_equal(per_node[j], alone[0][0]) and bound[j] == alone[1][0]
+
+
+def test_heavy_tail_falls_back_to_full(monkeypatch):
+    # 20 links of length 3 at beta = 0.9 and eps = 0.3: the table keeps 12
+    # columns and stops after 4 rows, before the frozen column's error
+    # reaches column 1, so the error bound is the dropped rows' tail alone.
+    path = uniform_path((0, 1) * 10, LengthDist.constant(3), EdgeDynamics(0.05, 0.05), FailureModel.CANT_START)
+    full = pgf_module._fill([path], full=True)[0][0]
+    monkeypatch.setattr(pgf_module, "_EPS", 0.3)
+    assert pgf_module._width(path.dynamics.beta, path.n) == 12
+    stop, tail = _stop_rows([path])
+    cut, bound = pgf_module._fill([path], full=False)
+    assert stop[0] < path.n and bound.tolist() == tail.tolist()
+    assert bound[0] > pgf_module._TRUNC_REL * cut[0, -1]
+    assert not np.array_equal(cut[0], full)
+    assert np.array_equal(ett(path)[1], full)
