@@ -180,6 +180,8 @@ class _Iir(LinkLaw):
 
     def at_one(self):
         slope = math.fsum(j * cj for j, cj in enumerate(self.c))
+        if self.slack**2 == 0.0:
+            raise NumericalSingularity(f"(1 - c(1))^2 underflows to 0 at 1 - c(1) = {self.slack}")
         return 1.0 / self.slack, slope / self.slack**2
 
     @cached_property
@@ -405,6 +407,7 @@ def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray, cu
     return stop, tails[stop, range(m)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ett_batch checks what comes out
 def _fill(paths: list[PathSpec], full: bool):
     """Fill the table for paths sharing n, model and lengths, one row per path.
 
@@ -493,27 +496,26 @@ def _fill(paths: list[PathSpec], full: bool):
     col1 = np.zeros((n, depth, m))
     # The bound can overflow where it is loose; inf or nan then sends the
     # path to the full table.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, l in enumerate(li[:rows]):
-            src, dst = bufs[i & 1], bufs[1 - (i & 1)]
-            c = min(w, rows - 1 - i)  # the columns later rows still read
-            col1[i] = src[..., 0]
-            shift = chi_layers[i] * coef_shift[l][..., :c]
-            shift *= src[..., 1 : c + 1]
-            np.multiply(coef_g[l][..., :c], src[..., :c], out=dst[..., :c])
-            dst[..., :c] += shift
-            if c == w:
-                np.add(dst[..., w - 1], mirror_add, out=dst[..., w])
-            if len(padded):
-                # Refreshed every step: a mirror past column c is never read again.
-                b_flat = b_flats[1 - (i & 1)]
-                b_flat[padded] = b_flat[padded - 1] + inj_padded
-        if rows > stop.min():
-            # a path's rows past its own stop were filled for paths that stop later
-            col1 = np.where((np.arange(n)[:, None] >= stop)[:, None], 0.0, col1)
-        bound = tail
-        if depth == 2:
-            bound = (weight * col1[:, 1]).cumsum(axis=0)[-1] + tail
+    for i, l in enumerate(li[:rows]):
+        src, dst = bufs[i & 1], bufs[1 - (i & 1)]
+        c = min(w, rows - 1 - i)  # the columns later rows still read
+        col1[i] = src[..., 0]
+        shift = chi_layers[i] * coef_shift[l][..., :c]
+        shift *= src[..., 1 : c + 1]
+        np.multiply(coef_g[l][..., :c], src[..., :c], out=dst[..., :c])
+        dst[..., :c] += shift
+        if c == w:
+            np.add(dst[..., w - 1], mirror_add, out=dst[..., w])
+        if len(padded):
+            # Refreshed every step: a mirror past column c is never read again.
+            b_flat = b_flats[1 - (i & 1)]
+            b_flat[padded] = b_flat[padded - 1] + inj_padded
+    if rows > stop.min():
+        # a path's rows past its own stop were filled for paths that stop later
+        col1 = np.where((np.arange(n)[:, None] >= stop)[:, None], 0.0, col1)
+    bound = tail
+    if depth == 2:
+        bound = (weight * col1[:, 1]).cumsum(axis=0)[-1] + tail
 
     # Link i contributes its state-averaged mean delay plus a correction
     # proportional to G_{i-1}(beta), which measures how far the link's
@@ -552,6 +554,8 @@ def ett_batch(paths) -> np.ndarray:
     redo = np.flatnonzero(~(bound <= _TRUNC_REL * np.abs(per_node[:, -1])))
     if redo.size:
         per_node[redo] = _fill([paths[j] for j in redo], full=True)[0]
+    if not np.all(np.isfinite(per_node)):
+        raise NumericalSingularity("an expected arrival time is not finite")
     return per_node
 
 

@@ -135,6 +135,15 @@ class TestEttCommand:
         code, _ = run_cli(["ett", "--config", str(cfg)])
         assert code == 2
 
+    def test_overflowing_slope_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 1e-158\nq = 0.5\nmodel = resume\nedge = 0 2\nedge = 1 1\n")
+        code, text = run_cli(["ett", "--config", str(cfg)])
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure") and err.count("\n") == 1
+
     def test_invalid_config_exits_1(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text(BASIC + "nonsense = 1\n")
@@ -368,12 +377,21 @@ def test_package_exports_resolve():
     assert missing == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the absorbing-chain oracle; ett, pmf and sweep skip its import.
-    code = "import sys, dynpath.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_exact_engines_and_validate_leave_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "from dynpath.cli import main\n"
+        "from dynpath.model import EdgeDynamics, FailureModel, LengthDist, uniform_path\n"
+        "from dynpath.oracle import exact_ett_dp, exact_pmf_dp\n"
+        "path = uniform_path((0, 1), LengthDist.constant(2), EdgeDynamics(0.3, 0.6), FailureModel.RESUME)\n"
+        "exact_ett_dp(path)\n"
+        "exact_pmf_dp(path, 10)\n"
+        "assert main(['validate', '--max-n', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_import_leaves_oracle_and_validation_unloaded():

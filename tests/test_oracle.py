@@ -83,6 +83,10 @@ class TestExactEtt:
             assert exact_ett_dp(
                 uniform_path((0,), LengthDist.cut(), EdgeDynamics(p, 0.4), FailureModel.CANT_START)
             ) == pytest.approx(1.0 / p)
+        # p = q = 1: the one state is absorbed in its first slot, so the chain has no transitions
+        assert exact_ett_dp(
+            uniform_path((0,), LengthDist.cut(), EdgeDynamics(1.0, 1.0), FailureModel.CANT_START)
+        ) == 1.0
 
     def test_limits_enforced(self):
         dyn = EdgeDynamics(0.5, 0.5)
@@ -95,6 +99,12 @@ class TestExactEtt:
         path = uniform_path(
             (0,), LengthDist.constant(3), EdgeDynamics(0.5, 1.0), FailureModel.RETRANSMIT_RESAMPLED
         )
+        with pytest.raises(InfiniteExpectation):
+            exact_ett_dp(path)
+
+    def test_subnormal_p_has_no_finite_solution(self):
+        # 1/p overflows, so the waiting states' expected times are not finite.
+        path = uniform_path((0,), LengthDist.cut(), EdgeDynamics(1e-320, 0.5), FailureModel.CANT_START)
         with pytest.raises(InfiniteExpectation):
             exact_ett_dp(path)
 
@@ -216,10 +226,27 @@ class TestAgainstGeneralEngine:
                 path = PathSpec(x, lengths, dyn, model)
                 assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=1e-9, abs=1e-9)
 
-    def test_sparse_solve_matches_pgf(self):
+    def test_eight_node_chain_matches_pgf(self):
         path = uniform_path(
             (0, 1) * 4, LengthDist.constant(4), EdgeDynamics(0.3, 0.6), FailureModel.RESUME
         )
         chain = oracle._chain(path.dynamics, path.model, path.lengths)
-        assert chain._P.shape[0] > oracle._DENSE_CUTOFF  # 2,040 states: the sparse LU solves it
+        assert len(chain._order) == 2040  # node blocks of 1024, 512, ..., 8 states
+        assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=REL_TOL_ETT)
+
+    # An escape probability per slot near machine epsilon: I - P loses it to
+    # rounding, and an LU solve of I - P returned +12 %, 57x, -99.8 % and
+    # -2.9e-4 relative errors on these paths.
+    @pytest.mark.parametrize(
+        "x, length, p, q, model",
+        [
+            ((0,), 4, 1e-4, 0.9999, FailureModel.RETRANSMIT_IDENTICAL),
+            ((1, 0, 1), 4, 1e-4, 0.9999, FailureModel.RETRANSMIT_IDENTICAL),
+            ((1, 0, 1), 4, 0.999999, 0.999999, FailureModel.RETRANSMIT_IDENTICAL),
+            ((0,) * 5, 3, 0.999999, 0.999999, FailureModel.RETRANSMIT_RESAMPLED),
+        ],
+        ids=["identical_rare_on", "identical_rare_on_3_links", "identical_flipping", "resampled_flipping"],
+    )
+    def test_near_singular_chain_matches_pgf(self, x, length, p, q, model):
+        path = uniform_path(x, LengthDist.constant(length), EdgeDynamics(p, q), model)
         assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=REL_TOL_ETT)

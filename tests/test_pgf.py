@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF
+from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF, REL_TOL_ETT
 
 from dynpath.closedform import bernoulli_ett, max_geom_ett, steady_ett
 from dynpath.errors import InfiniteExpectation, NumericalSingularity
@@ -257,6 +257,23 @@ class TestEtt:
         with pytest.raises(InfiniteExpectation):
             ett(path)
 
+    @staticmethod
+    def _rare_on_resume(p):
+        lengths = (LengthDist.constant(2), LengthDist.soa())
+        return PathSpec((0, 1), lengths, EdgeDynamics(p, 0.5), FailureModel.RESUME)
+
+    @pytest.mark.parametrize("p", [1e-158, 1e-170, 1e-300])
+    def test_tiny_p_raises_instead_of_nan(self, p):
+        # The resume law's slope divides by (1 - c(1))^2 ~ p^2, which
+        # overflows the arrival times near p = 1e-158 and is 0 below 1e-162.
+        with pytest.raises(NumericalSingularity):
+            ett(self._rare_on_resume(p))
+
+    def test_small_p_keeps_its_value(self):
+        total, per_node = ett(self._rare_on_resume(1e-150))
+        assert total == 2.4999999999999997e150
+        assert per_node.tolist() == [0.0, 1.4999999999999999e150, 2.4999999999999997e150]
+
 
 class TestPmf:
     def test_instant_traversal(self):
@@ -370,6 +387,29 @@ def test_pmf_heterogeneous_paths_match_forward_propagation(model, p, q, links):
     exact = exact_pmf_dp(path, 30)
     assert np.max(np.abs(series.coeffs - exact)) <= ABS_TOL_PMF
     assert abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0) <= ABS_TOL_MASS
+
+
+# p and q this close to 0 or 1 leave each slot an escape probability near
+# machine epsilon, which the chain's solve must not lose.
+_NEAR_EDGE = st.sampled_from([1e-4, 0.9999, 0.999999])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    model=st.sampled_from(list(FailureModel)),
+    p=st.one_of(_EDGE_P, _NEAR_EDGE),
+    q=st.one_of(_EDGE_Q, _NEAR_EDGE),
+    links=st.lists(st.tuples(st.integers(0, 1), _length_dists()), min_size=1, max_size=4),
+)
+def test_ett_heterogeneous_paths_match_absorbing_chain(model, p, q, links):
+    x, lengths = zip(*links)
+    path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(p, q), model)
+    if model.is_retransmit and q == 1.0 and max(ld.max_value for ld in lengths) >= 2:
+        for engine in (ett, exact_ett_dp):
+            with pytest.raises(InfiniteExpectation):
+                engine(path)
+        return
+    assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
 
 
 # beta = 1 - p - q: zero, small of either sign, fast and slow mixing, and
