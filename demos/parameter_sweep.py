@@ -1,10 +1,10 @@
 """Sweeping repair and failure probabilities, at library level and via the CLI.
 
 Emits the same plot-ready CSV the ``dynpath sweep`` subcommand produces and
-demonstrates the O(n + R K) cost that makes thousand-link paths routine:
-the table keeps K = ceil(log 2^-54 / log|beta|) columns, 54 at beta = 0.5,
-and fills only the R rows before |beta|^T_min has decayed (T_min the sum of
-the shortest lengths so far), about K rows here whatever n is.
+demonstrates the O(n + R^2) cost that makes thousand-link paths routine:
+the table fills only the R rows before |beta|^T_min has decayed past
+2^-54 (T_min the sum of the shortest lengths so far), here about
+K = ceil(log 2^-54 / log|beta|) = 54 rows at beta = 0.5 whatever n is.
 """
 
 import time
@@ -32,7 +32,7 @@ def main() -> None:
         path = uniform_path(bits, length, EdgeDynamics(0.4, q), FailureModel.RESUME)
         print(f"q,{q},{ett(path)[0]:.6f}")
 
-    print("\nO(n + R K) scaling on long paths (beta = 0.5, K = 54)")
+    print("\nO(n + R^2) scaling on long paths (beta = 0.5, K = 54)")
     print("=" * 58)
     for n in (250, 500, 1000, 2000):
         x = tuple(i % 2 for i in range(n))

@@ -3,11 +3,12 @@
 Each link of an n-link path follows a two-state on/off Markov chain with
 per-slot repair probability p and failure probability q.  Given the full
 initial configuration, the package computes the exact expected traversal
-time in O(n + R K), with K = ceil(log 2^-54 / log|1 - p - q|) capped at n
-and R the rows filled before |1 - p - q|^T_min decays (T_min the sum of
-the shortest link lengths so far), extracts the latency distribution from
-the underlying generating functions, and cross-checks everything against
-slot-level simulation and absorbing-chain linear algebra.
+time in O(n + R^2), with R the rows filled before |1 - p - q|^T_min decays
+past 2^-54 (T_min the sum of the shortest link lengths so far; R = n at
+worst, when those lengths are mostly 0), extracts the latency
+distribution from the underlying generating functions, and cross-checks
+everything against slot-level simulation and absorbing-chain linear
+algebra.
 
 Names are imported from their modules on first use, so loading the
 package (and the ``ett``, ``pmf`` and ``sweep`` commands) leaves the

@@ -15,18 +15,16 @@ at powers of beta:
 
 with phi_i = pi0 F_{i,0} + pi1 F_{i,1}, psi_i = F_{i,0} - F_{i,1} and
 chi_i = pi1 (1 - x_i) - pi0 x_i.  Expected traversal times follow from
-the derivatives at z = 1 and need only G_{i-1}(beta), so the table of
-values G_i(beta^k) is filled for k = 1..K: any PGF has
-|G(z) - G(0)| <= |z|, so past K = ceil(log eps / log|beta|) (eps = 2^-54)
-every column holds G(0) to within eps, and freezing column K costs
-O(n K) instead of the full triangle's O(n^2).  Rows end sooner still:
-|G_{i-1}(beta)| <= |beta|^T_min(i), with T_min(i) the sum of the shortest
-lengths of the first i links, so the fill stops at the row R past which
-those terms weigh at most eps T_min(n) <= eps ETT, and costs O(n + R K).
-An error bound carried through the fill, the dropped rows included, sends
-a path back to the full table when it exceeds 1e-12 of the ETT.
-``ett_batch`` fills one table for many paths that share their lengths and
-model.
+the derivatives at z = 1 and need only G_{i-1}(beta), read from a
+triangular table of values G_i(beta^k) in which row i keeps the columns
+later rows read.  The table ends early: |G_{i-1}(beta)| <= |beta|^T_min(i),
+with T_min(i) the sum of the shortest lengths of the first i links, so the
+fill stops at the row R past which those terms weigh at most
+eps T_min(n) <= eps ETT (eps = 2^-54), and costs O(n + R^2).  R is about
+K / (mean shortest length) with K = ceil(log eps / log|beta|); it stays
+near n when |beta| = 1 or most shortest lengths are 0, and the fill is
+then O(n^2).  ``ett_batch`` fills one table for many paths that share
+their lengths and model.
 
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
@@ -65,8 +63,7 @@ _DEN_FLOOR = 1e-300
 _Z_SLACK = 1e-3  # allow finite-difference probes just past z = 1
 _PMF_MAX_K = 10_000_000
 _BLOCK = 64  # coefficients per block of the blocked IIR recurrence
-_EPS = 2.0**-54  # the table keeps the columns with |beta|^k > _EPS
-_TRUNC_REL = 1e-12  # largest truncation bound kept, relative to the ETT
+_EPS = 2.0**-54  # the rows the table drops move the ETT by at most _EPS of it
 
 
 def _as_z(z):
@@ -77,7 +74,7 @@ def _as_z(z):
 
 
 def _guard_den(den) -> None:
-    if np.abs(den).min() < _DEN_FLOOR:
+    if np.any(np.abs(den) < _DEN_FLOOR):
         raise NumericalSingularity("denominator vanished during PGF evaluation")
 
 
@@ -371,61 +368,31 @@ def _beta_powers(beta: float, count: int) -> np.ndarray:
     return out
 
 
-def _width(beta: float, n: int) -> int:
-    """Columns G(beta^1..beta^w) the table keeps: w = ceil(log eps / log|beta|), at most n.
-
-    Column 0, G(1) = 1, is never needed.  Past column w every column holds
-    G(0) to within |beta|^w <= eps, so the last column is frozen; w = n is
-    the full table, where the frozen column never reaches a needed value.
-    """
-    b = abs(beta)
-    if b == 0.0:
-        return 1
-    if b >= 1.0:
-        return n
-    return min(n, math.ceil(math.log(_EPS) / math.log(b)))
-
-
-def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray, cut: np.ndarray):
+def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray) -> np.ndarray:
     """Per path, the first row R whose tail of the table weighs at most eps * T_min(n).
 
     Link i adds weight[i] G_{i-1}(beta) to the ETT, and |G_{i-1}(beta)| =
     |E beta^T_{i-1}| <= |beta|^T_min(i), with T_min(i) the sum of the
     shortest lengths of the first i links.  So taking G_{i-1}(beta) = 0 for
-    i >= R moves the ETT by at most tail = sum_{i >= R} weight[i]
-    |beta|^T_min(i), and R is the first row with tail <= eps * T_min(n).
-    As T_min(n) <= ETT, that is at most eps of the ETT.  ``weight`` is
-    (n, m); returns R and the tail, one each per path.  A path not ``cut``,
-    one that keeps all n columns, keeps all n rows too.
+    i >= R moves the ETT by at most sum_{i >= R} weight[i] |beta|^T_min(i),
+    and R is the first row where that is at most eps * T_min(n), hence at
+    most eps of the ETT.  ``weight`` is (n, m); returns R per path.
     """
-    n, m = weight.shape
     t_min = np.cumsum(min_len)  # T_min(i + 1)
     decayed = weight * abs_beta ** (t_min - min_len)[:, None]
-    tails = np.zeros((n + 1, m))  # row R: the tail from row R on; row n is 0
-    np.cumsum(decayed[::-1], axis=0, out=tails[n - 1 :: -1])
-    stop = np.where(cut, (tails > _EPS * t_min[-1]).sum(axis=0), n)  # tails never rise
-    return stop, tails[stop, range(m)]
+    tails = decayed[::-1].cumsum(axis=0)  # tails[k]: the tail from row n-1-k on
+    return (tails > _EPS * t_min[-1]).sum(axis=0)  # tails never fall as k grows
 
 
 @np.errstate(over="ignore", invalid="ignore")  # ett_batch checks what comes out
-def _fill(paths: list[PathSpec], full: bool):
-    """Fill the table for paths sharing n, model and lengths, one row per path.
+def _fill(paths: list[PathSpec]) -> np.ndarray:
+    """Fill the table for paths sharing n, model and lengths; returns the (m, n+1) arrivals.
 
-    Returns the per-node expected arrivals, shape (m, n+1), and for each
-    path a bound on their error from truncating the table.  A path keeps
-    ``_width`` columns (all n when ``full``) plus a mirror of its last,
-    which stands in for the frozen G(beta^(w+1)).  A narrower path's grid
-    repeats its last power of beta out to the batch width, so its row holds
-    the same values, bit for bit, as when filled alone.
-
-    The truncation bound b, one per column, runs beside the table:
-    b_i = |phi_i| b_{i-1} + |chi_i psi_i| shift(b_{i-1}), where the shift
-    into the frozen column adds |G(beta^(w+1)) - G(beta^w)| <= |beta|^w +
-    |beta|^(w+1), since |G(z) - G(0)| <= |z| for any PGF.
-
-    A path with fewer than n columns also stops filling rows at its
-    ``_stop_rows`` row R: from there on G_{i-1}(beta) counts as 0, and the
-    tail that bounds what that drops joins the path's bound.
+    Row i of the table holds G_i(beta^k) for the columns k = 1..R-1-i that
+    later rows still read, R being the path's ``_stop_rows`` row; from row R
+    on G_{i-1}(beta) counts as 0.  The batch fills as many rows as its
+    longest path needs and zeroes each path's rows past its own R, so a
+    path's row holds the same values, bit for bit, as when filled alone.
     """
     first = paths[0]
     n, model = first.n, first.model
@@ -433,99 +400,62 @@ def _fill(paths: list[PathSpec], full: bool):
     di = [dyn_index.setdefault(path.dynamics, len(dyn_index)) for path in paths]
     len_index: dict[LengthDist, int] = {}
     li = [len_index.setdefault(ld, len(len_index)) for ld in first.lengths]
-    widths = [n if full else _width(dyn.beta, n) for dyn in dyn_index]
-    w = max(widths)
 
-    # coef[0] is phi and coef[1] psi, per (length, layer, dynamics, column).
-    # Layer 0 serves the table, layer 1 the bound, with absolute values;
-    # the bound is kept only when some path is truncated.
-    coef = np.empty((2, len(len_index), 2, len(dyn_index), w))
     gam = np.empty((2, len(len_index), len(dyn_index)))
-    inj = [0.0] * len(dyn_index)
-    for d, (dyn, wd) in enumerate(zip(dyn_index, widths)):
-        zs = _beta_powers(dyn.beta, wd + 1)[1:]
-        if wd < w:
-            zs = np.concatenate((zs, np.full(w - wd, zs[-1])))
-        if wd < n:
-            inj[d] = abs(zs[-1]) + abs(zs[-1] * dyn.beta)
+    for d, dyn in enumerate(dyn_index):
         for l, ld in enumerate(len_index):
-            f0, f1 = f_pair(model, dyn, ld, zs)
-            coef[0, l, 0, d] = dyn.pi0 * f0 + dyn.pi1 * f1
-            coef[1, l, 0, d] = f0 - f1
             g = gamma_pair(model, dyn, ld)
             gam[:, l, d] = g.gamma0, g.gamma1
-    depth = 2 if any(inj) else 1
-    if depth == 2:
-        np.abs(coef[:, :, 0], out=coef[:, :, 1])
-    coef = coef[:, :, :depth]
     gam0, gam1 = gam[:, li]
     if len(dyn_index) > 1:
-        coef, gam0, gam1 = coef[:, :, :, di], gam0[:, di], gam1[:, di]
+        gam0, gam1 = gam0[:, di], gam1[:, di]
 
     m = len(paths)
     pi0, pi1 = np.array([(path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
     bits = np.array([path.x for path in paths])
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
-    chi_layers = np.array([chi, np.abs(chi)])[:depth].transpose(1, 0, 2)[..., None]
-    coef_g, coef_shift = list(coef[0]), list(coef[1])
     weight = np.abs(gam0 - gam1) * np.abs(chi)  # how much of G_{i-1}(beta) the ETT takes
-    if min(widths) < n:
-        min_len = np.array([min(ld.values) for ld in len_index])[li]
-        abs_beta = np.array([abs(dyn.beta) for dyn in dyn_index])[di]
-        stop, tail = _stop_rows(weight, abs_beta, min_len, np.array(widths)[di] < n)
-    else:
-        stop, tail = np.full(m, n), np.zeros(m)
+    min_len = np.array([min(ld.values) for ld in len_index])[li]
+    abs_beta = np.array([abs(dyn.beta) for dyn in dyn_index])[di]
+    stop = _stop_rows(weight, abs_beta, min_len)
     rows = int(stop.max())
 
-    bufs = np.zeros((2, depth, m, w + 1))
-    bufs[:, 0] = 1.0
-    # Column w mirrors column w-1 in the table; in the bound it adds the
-    # |beta|^w + |beta|^(w+1) injected at each path's frozen column.  A
-    # path narrower than the batch has its bound mirror at its own width.
-    mirror_add = np.zeros((depth, m))
-    padded = []
-    if depth == 2:
-        inj, mirror = np.array(inj)[di], np.array(widths)[di]
-        narrow = mirror < w
-        mirror_add[1] = np.where(narrow, 0.0, inj)
-        if narrow.any():
-            padded, inj_padded = np.flatnonzero(narrow) * (w + 1) + mirror[narrow], inj[narrow]
-            b_flats = [buf[1].reshape(-1) for buf in bufs]
-            b_flats[0][padded] = inj_padded
-    bufs[0, :, :, w] += mirror_add
-    col1 = np.zeros((n, depth, m))
-    # The bound can overflow where it is loose; inf or nan then sends the
-    # path to the full table.
+    # coef[0] is phi and coef[1] psi, per (length, dynamics, column k-1).
+    coef = np.empty((2, len(len_index), len(dyn_index), max(rows - 1, 0)))
+    for d, dyn in enumerate(dyn_index):
+        zs = _beta_powers(dyn.beta, rows)[1:]
+        for l, ld in enumerate(len_index):
+            f0, f1 = f_pair(model, dyn, ld, zs)
+            coef[0, l, d] = dyn.pi0 * f0 + dyn.pi1 * f1
+            coef[1, l, d] = f0 - f1
+    if len(dyn_index) > 1:
+        coef = coef[:, :, di]
+    coef_g, coef_shift = list(coef[0]), list(coef[1])
+
+    bufs = np.ones((2, m, rows))  # G_0 = 1
+    col1 = np.zeros((n, m))
+    chi_col = chi[..., None]
     for i, l in enumerate(li[:rows]):
         src, dst = bufs[i & 1], bufs[1 - (i & 1)]
-        c = min(w, rows - 1 - i)  # the columns later rows still read
-        col1[i] = src[..., 0]
-        shift = chi_layers[i] * coef_shift[l][..., :c]
-        shift *= src[..., 1 : c + 1]
-        np.multiply(coef_g[l][..., :c], src[..., :c], out=dst[..., :c])
-        dst[..., :c] += shift
-        if c == w:
-            np.add(dst[..., w - 1], mirror_add, out=dst[..., w])
-        if len(padded):
-            # Refreshed every step: a mirror past column c is never read again.
-            b_flat = b_flats[1 - (i & 1)]
-            b_flat[padded] = b_flat[padded - 1] + inj_padded
+        c = rows - 1 - i  # the columns later rows still read
+        col1[i] = src[:, 0]
+        shift = chi_col[i] * coef_shift[l][:, :c]
+        shift *= src[:, 1 : c + 1]
+        np.multiply(coef_g[l][:, :c], src[:, :c], out=dst[:, :c])
+        dst[:, :c] += shift
     if rows > stop.min():
         # a path's rows past its own stop were filled for paths that stop later
-        col1 = np.where((np.arange(n)[:, None] >= stop)[:, None], 0.0, col1)
-    bound = tail
-    if depth == 2:
-        bound = (weight * col1[:, 1]).cumsum(axis=0)[-1] + tail
+        col1 = np.where(np.arange(n)[:, None] >= stop, 0.0, col1)
 
     # Link i contributes its state-averaged mean delay plus a correction
     # proportional to G_{i-1}(beta), which measures how far the link's
     # state at the packet's arrival still remembers the initial bit.
-    terms = pi0 * gam0 + pi1 * gam1 + (gam0 - gam1) * chi * col1[:, 0]
+    terms = pi0 * gam0 + pi1 * gam1 + (gam0 - gam1) * chi * col1
     per_node = np.zeros((m, n + 1))
     # cumsum adds in order along its axis, so a path's sums do not depend
     # on the batch around it.
     per_node[:, 1:] = terms.cumsum(axis=0).T
-    return per_node, bound
+    return per_node
 
 
 def ett_batch(paths) -> np.ndarray:
@@ -533,14 +463,13 @@ def ett_batch(paths) -> np.ndarray:
 
     The paths must share n, failure model and per-link lengths; their
     dynamics and initial bits may differ.  Returns an (m, n+1) array whose
-    row j is ``ett(paths[j])[1]``, bit for bit.  The table keeps
-    K = ceil(log eps / log|beta|) columns (eps = 2^-54) and, per path, the
-    R rows before |beta|^T_min has decayed (``_stop_rows``), so the fill
-    costs O(n + R K) with R about K / (mean shortest length); the batch
-    fills as many rows as its longest path needs.  A path whose
-    accumulated truncation bound exceeds 1e-12 of its ETT is refilled with
-    the full table.  |beta| = 1 and K >= n keep every column and every
-    row; T_min(n) = 0 keeps every row.
+    row j is ``ett(paths[j])[1]``, bit for bit.  Each path keeps the R rows
+    of the table before |beta|^T_min has decayed (``_stop_rows``), and row
+    i keeps the R-1-i columns later rows read, so the fill costs O(n + R^2)
+    with R about K / (mean shortest length), K = ceil(log eps / log|beta|)
+    (eps = 2^-54).  The batch fills as many rows as its longest path needs.
+    |beta| = 1, or shortest lengths that are mostly 0, keep R near n and
+    cost O(n^2).
     """
     paths = list(paths)
     if not paths:
@@ -549,11 +478,7 @@ def ett_batch(paths) -> np.ndarray:
     for path in paths[1:]:
         if path.n != first.n or path.model is not first.model or path.lengths != first.lengths:
             raise ValueError("paths in one batch must share n, model and per-link lengths")
-    per_node, bound = _fill(paths, full=False)
-    # nan (an overflowed bound times a zero coefficient) counts as exceeded
-    redo = np.flatnonzero(~(bound <= _TRUNC_REL * np.abs(per_node[:, -1])))
-    if redo.size:
-        per_node[redo] = _fill([paths[j] for j in redo], full=True)[0]
+    per_node = _fill(paths)
     if not np.all(np.isfinite(per_node)):
         raise NumericalSingularity("an expected arrival time is not finite")
     return per_node

@@ -435,50 +435,40 @@ def _dynamics_with_beta(beta, u):
     eps=st.sampled_from([pgf_module._EPS, 1e-3, 0.3]),
 )
 def test_truncated_ett_matches_full_table(model, betas, u, laws, extra, seed, eps):
-    """Paths longer than the table width K: the frozen column costs <= 1e-12.
+    """Paths longer than K = ceil(log eps / log|beta|): the dropped rows cost <= eps T_min(n).
 
-    The batch mixes dynamics (so widths and stop rows) and initial bits over
-    one length sequence; each of its rows must be the single-path ett bit
-    for bit.  Up to 400 links past K, and laws whose shortest length is at
+    The batch mixes dynamics (so stop rows) and initial bits over one
+    length sequence; each of its rows must be the single-path ett bit for
+    bit.  Up to 400 links past K, and laws whose shortest length is at
     least 1, carry most paths with |beta| < 1 past their decay row, where
-    the fill stops.  Wider truncation targets than the default make the
-    error bound trip, so the full-table fallback is exercised too.
+    the fill stops.  Wider truncation targets than the default drop rows
+    whose error shows.
     """
     with mock.patch.object(pgf_module, "_EPS", eps):
         _check_truncated_against_full(model, betas, u, laws, extra, seed)
 
 
+def _decay_columns(beta: float) -> int:
+    """K, the first power with |beta|^K <= eps, at most 400."""
+    b = abs(beta)
+    if b == 0.0:
+        return 1
+    if b >= 1.0:
+        return 400
+    return min(400, math.ceil(math.log(pgf_module._EPS) / math.log(b)))
+
+
 def _check_truncated_against_full(model, betas, u, laws, extra, seed):
     rng = np.random.default_rng(seed)
     dyns = [_dynamics_with_beta(beta, u) for beta in betas]
-    n = min(pgf_module._width(dyns[0].beta, 10**6), 400) + extra
+    n = _decay_columns(dyns[0].beta) + extra
     lengths = tuple(laws[k] for k in rng.integers(len(laws), size=n))
     paths = [PathSpec(tuple(rng.integers(0, 2, size=n).tolist()), lengths, dyn, model) for dyn in dyns]
     if model.is_retransmit and any(d.q == 1.0 for d in dyns) and max(ld.max_value for ld in laws) >= 2:
         with pytest.raises(InfiniteExpectation):
             ett_batch(paths)
         return
-    batch = ett_batch(paths)
-    bounds = pgf_module._fill(paths, full=False)[1]
-    for row, bound, path in zip(batch, bounds, paths):
-        single = ett(path)[1]
-        assert np.array_equal(row, single)
-        # the same truncation bound, hence the same fallback decision
-        assert bound == pgf_module._fill([path], full=False)[1][0]
-        full = pgf_module._fill([path], full=True)[0][0]
-        assert np.all(np.abs(single - full) <= 1e-12 * np.abs(full))
-
-
-def test_too_narrow_table_falls_back_to_full(monkeypatch):
-    # 40 cut-through links at beta = 0.9: the table needs 356 columns.
-    path = uniform_path((0, 1) * 20, LengthDist.cut(), EdgeDynamics(0.05, 0.05), FailureModel.CANT_START)
-    full = pgf_module._fill([path], full=True)[0][0]
-    monkeypatch.setattr(pgf_module, "_EPS", 0.5)  # 7 columns
-    narrow, bound = pgf_module._fill([path], full=False)
-    assert bound[0] > pgf_module._TRUNC_REL * narrow[0, -1]
-    assert not np.array_equal(narrow[0], full)
-    assert np.array_equal(ett(path)[1], full)
-    assert np.array_equal(ett_batch([path, path])[1], full)
+    _assert_truncated_close(paths)
 
 
 def test_ett_batch_rejects_mismatched_paths():
@@ -497,7 +487,7 @@ def test_ett_batch_rejects_mismatched_paths():
 
 
 def _stop_rows(paths):
-    """The rows the fill keeps per path, from gamma_pair link by link; every path has K < n."""
+    """The rows the fill keeps per path, from gamma_pair link by link."""
     weight = []
     for path in paths:
         dyn = path.dynamics
@@ -507,15 +497,19 @@ def _stop_rows(paths):
         weight.append(np.array(gaps) * np.array(chi))
     abs_beta = np.array([abs(path.dynamics.beta) for path in paths])
     min_len = np.array([min(ld.values) for ld in paths[0].lengths])
-    return pgf_module._stop_rows(np.array(weight).T, abs_beta, min_len, np.full(len(paths), True))
+    return pgf_module._stop_rows(np.array(weight).T, abs_beta, min_len)
 
 
 def _assert_truncated_close(paths):
+    """Each batch row is its path's ett, within eps T_min(n) of the table that keeps every row."""
     batch = ett_batch(paths)
+    t_min = sum(min(ld.values) for ld in paths[0].lengths)
+    bound = pgf_module._EPS * t_min
     for row, path in zip(batch, paths):
         assert np.array_equal(row, ett(path)[1])
-        full = pgf_module._fill([path], full=True)[0][0]
-        assert np.all(np.abs(row - full) <= 1e-12 * np.abs(full))
+        with mock.patch.object(pgf_module, "_EPS", 0.0):
+            full = ett(path)[1]
+        assert np.all(np.abs(row - full) <= bound)
 
 
 def test_zero_length_path_keeps_every_row():
@@ -523,22 +517,17 @@ def test_zero_length_path_keeps_every_row():
     rng = np.random.default_rng(5)
     x = tuple(rng.integers(0, 2, 300).tolist())
     path = uniform_path(x, LengthDist.cut(), EdgeDynamics(0.2, 0.3), FailureModel.RESUME)
-    stop, tail = _stop_rows([path])
-    assert stop.tolist() == [300] and tail.tolist() == [0.0]
+    assert _stop_rows([path]).tolist() == [300]
     _assert_truncated_close([path])
 
 
 def test_stop_row_waits_for_shortest_lengths_to_grow():
     # 500 cut-through links leave T_min at 0; 100 links of length 3 follow.
-    # p < q keeps the column bound small over the cut-through run, so the
-    # cut result is the one returned (p > q trips it: ROADMAP, smaller items).
     rng = np.random.default_rng(6)
     lengths = (LengthDist.cut(),) * 500 + (LengthDist.constant(3),) * 100
     x = tuple(rng.integers(0, 2, 600).tolist())
     path = PathSpec(x, lengths, EdgeDynamics(0.2, 0.3), FailureModel.RESUME)
-    stop, tail = _stop_rows([path])
-    assert 500 < stop[0] < 600
-    assert 0.0 < tail[0] <= pgf_module._EPS * 300
+    assert 500 < _stop_rows([path])[0] < 600
     _assert_truncated_close([path])
 
 
@@ -547,30 +536,13 @@ def test_mixed_beta_batch_stops_each_path_at_its_own_row(monkeypatch):
     x = tuple(rng.integers(0, 2, 600).tolist())
     pqs = ((0.5, 0.5), (0.3, 0.2), (0.9, 0.9), (0.05, 0.05))  # beta 0, 0.5, -0.8, 0.9
     paths = [uniform_path(x, LengthDist.soa(), EdgeDynamics(p, q), FailureModel.CANT_START) for p, q in pqs]
-    stop, _ = _stop_rows(paths)
+    stop = _stop_rows(paths)
     assert len(set(stop.tolist())) == len(paths) and stop.max() < 600
     _assert_truncated_close(paths)
     # At eps = 1e-6 the rows a path drops would show in its result: each
-    # batch row must still be that path's own truncated fill, bound included.
+    # batch row must still be that path's own truncated fill.
     monkeypatch.setattr(pgf_module, "_EPS", 1e-6)
-    assert len(set(_stop_rows(paths)[0].tolist())) == len(paths)
-    per_node, bound = pgf_module._fill(paths, full=False)
+    assert len(set(_stop_rows(paths).tolist())) == len(paths)
+    per_node = pgf_module._fill(paths)
     for j, path in enumerate(paths):
-        alone = pgf_module._fill([path], full=False)
-        assert np.array_equal(per_node[j], alone[0][0]) and bound[j] == alone[1][0]
-
-
-def test_heavy_tail_falls_back_to_full(monkeypatch):
-    # 20 links of length 3 at beta = 0.9 and eps = 0.3: the table keeps 12
-    # columns and stops after 4 rows, before the frozen column's error
-    # reaches column 1, so the error bound is the dropped rows' tail alone.
-    path = uniform_path((0, 1) * 10, LengthDist.constant(3), EdgeDynamics(0.05, 0.05), FailureModel.CANT_START)
-    full = pgf_module._fill([path], full=True)[0][0]
-    monkeypatch.setattr(pgf_module, "_EPS", 0.3)
-    assert pgf_module._width(path.dynamics.beta, path.n) == 12
-    stop, tail = _stop_rows([path])
-    cut, bound = pgf_module._fill([path], full=False)
-    assert stop[0] < path.n and bound.tolist() == tail.tolist()
-    assert bound[0] > pgf_module._TRUNC_REL * cut[0, -1]
-    assert not np.array_equal(cut[0], full)
-    assert np.array_equal(ett(path)[1], full)
+        assert np.array_equal(per_node[j], pgf_module._fill([path])[0])
