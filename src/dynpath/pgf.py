@@ -401,20 +401,15 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     len_index: dict[LengthDist, int] = {}
     li = [len_index.setdefault(ld, len(len_index)) for ld in first.lengths]
 
-    gam = np.empty((2, len(len_index), len(dyn_index)))
-    for d, dyn in enumerate(dyn_index):
-        for l, ld in enumerate(len_index):
-            g = gamma_pair(model, dyn, ld)
-            gam[:, l, d] = g.gamma0, g.gamma1
-    gam0, gam1 = gam[:, li]
+    gam1 = np.array([[gamma_pair(model, dyn, ld).gamma1 for dyn in dyn_index] for ld in len_index])[li]
     if len(dyn_index) > 1:
-        gam0, gam1 = gam0[:, di], gam1[:, di]
+        gam1 = gam1[:, di]
 
     m = len(paths)
-    pi0, pi1 = np.array([(path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
+    p, pi0, pi1 = np.array([(path.dynamics.p, path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
     bits = np.array([path.x for path in paths])
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
-    weight = np.abs(gam0 - gam1) * np.abs(chi)  # how much of G_{i-1}(beta) the ETT takes
+    weight = np.abs(chi) / p  # how much of G_{i-1}(beta) the ETT takes
     min_len = np.array([min(ld.values) for ld in len_index])[li]
     abs_beta = np.array([abs(dyn.beta) for dyn in dyn_index])[di]
     stop = _stop_rows(weight, abs_beta, min_len)
@@ -447,10 +442,12 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
         # a path's rows past its own stop were filled for paths that stop later
         col1 = np.where(np.arange(n)[:, None] >= stop, 0.0, col1)
 
-    # Link i contributes its state-averaged mean delay plus a correction
-    # proportional to G_{i-1}(beta), which measures how far the link's
-    # state at the packet's arrival still remembers the initial bit.
-    terms = pi0 * gam0 + pi1 * gam1 + (gam0 - gam1) * chi * col1
+    # Link i contributes its state-averaged mean delay pi0 gamma0 + pi1 gamma1
+    # plus (gamma0 - gamma1) chi_i G_{i-1}(beta), a correction that measures
+    # how far the link's state at the packet's arrival still remembers the
+    # initial bit.  With gamma0 = gamma1 + 1/p that is the form below, which
+    # never subtracts two terms of size 1/p.
+    terms = gam1 + (pi0 + chi * col1) / p
     per_node = np.zeros((m, n + 1))
     # cumsum adds in order along its axis, so a path's sums do not depend
     # on the batch around it.

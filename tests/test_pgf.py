@@ -412,6 +412,19 @@ def test_ett_heterogeneous_paths_match_absorbing_chain(model, p, q, links):
     assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
 
 
+# Each link's term must not subtract two terms of size 1/p: written as
+# pi0 gamma0 + pi1 gamma1 + (gamma0 - gamma1) chi G_{i-1}(beta), a link
+# found on with lengths {3, 1, 0} read 7.0e-9 relative off at p = q = 1e-8
+# and 4.7e-5 off at 1e-12.
+@pytest.mark.parametrize("model", list(FailureModel))
+@pytest.mark.parametrize("p, q", [(1e-8, 1e-8), (1e-10, 1e-10), (1e-12, 1e-12), (1e-8, 0.3), (1e-12, 0.3)])
+def test_tiny_p_single_link_matches_absorbing_chain(model, p, q):
+    laws = (LengthDist.cut(), LengthDist.soa(), LengthDist((3, 1, 0), (0.232, 0.232, 0.536)))
+    for x, law in itertools.product((0, 1), laws):
+        path = PathSpec((x,), (law,), EdgeDynamics(p, q), model)
+        assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
+
+
 # beta = 1 - p - q: zero, small of either sign, fast and slow mixing, and
 # the p = q = 1 corner where nothing decays
 _BETAS = (0.0, 0.01, -0.01, 0.5, -0.8, 0.9, 0.999, -1.0)
