@@ -2,8 +2,10 @@
 
 import io
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,12 @@ q = 0.5
 model = cant_start
 edge = 0 0
 """
+
+
+# Child interpreters import dynpath from where this process did: pytest's
+# pythonpath setting reaches only the pytest process.
+_SRC = str(Path(dynpath.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(args):
@@ -367,6 +375,7 @@ def test_module_entrypoint_runs(tmp_path):
         [sys.executable, "-m", "dynpath", "ett", "--config", str(cfg)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ett = 2")
@@ -389,7 +398,7 @@ def test_exact_engines_and_validate_leave_scipy_unloaded():
         "assert main(['validate', '--max-n', '1']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -398,6 +407,6 @@ def test_cli_import_leaves_oracle_and_validation_unloaded():
     # Only simulate and validate need them; the package imports its names on first use.
     heavy = ["concurrent.futures", "dynpath.closedform", "dynpath.oracle", "dynpath.validation"]
     code = f"import sys, dynpath.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
