@@ -74,7 +74,7 @@ def _as_z(z):
 
 
 def _guard_den(den) -> None:
-    if np.any(np.abs(den) < _DEN_FLOOR):
+    if np.abs(den).min(initial=np.inf) < _DEN_FLOOR:  # an empty grid passes
         raise NumericalSingularity("denominator vanished during PGF evaluation")
 
 
