@@ -429,12 +429,11 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
 
     bufs = np.ones((2, m, rows))  # G_0 = 1
     col1 = np.zeros((n, m))
-    chi_col = chi[..., None]
     for i, l in enumerate(li[:rows]):
         src, dst = bufs[i & 1], bufs[1 - (i & 1)]
         c = rows - 1 - i  # the columns later rows still read
         col1[i] = src[:, 0]
-        shift = chi_col[i] * coef_shift[l][:, :c]
+        shift = chi[i, :, None] * coef_shift[l][:, :c]
         shift *= src[:, 1 : c + 1]
         np.multiply(coef_g[l][:, :c], src[:, :c], out=dst[:, :c])
         dst[:, :c] += shift
