@@ -409,7 +409,7 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     p, pi0, pi1 = np.array([(path.dynamics.p, path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
     bits = np.array([path.x for path in paths])
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
-    weight = np.abs(chi) / p  # how much of G_{i-1}(beta) the ETT takes
+    weight = np.abs(chi) / p  # |gamma0 - gamma1| |chi_i|: how much of G_{i-1}(beta) the ETT takes
     min_len = np.array([min(ld.values) for ld in len_index])[li]
     abs_beta = np.array([abs(dyn.beta) for dyn in dyn_index])[di]
     stop = _stop_rows(weight, abs_beta, min_len)
