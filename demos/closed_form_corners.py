@@ -13,7 +13,6 @@ from dynpath import (
     EdgeDynamics,
     FailureModel,
     LengthDist,
-    bernoulli_ett,
     det_model2_time,
     det_slot_time,
     det_traversal_time,
@@ -45,8 +44,8 @@ def main() -> None:
     print("=" * 64)
     for p in (0.25, 0.5, 0.75):
         lengths = [LengthDist.soa()] * 4
-        closed = bernoulli_ett(p, lengths)
         dyn = EdgeDynamics(p, 1.0 - p)
+        closed = steady_ett(dyn, lengths)
         avg = 0.0
         for x in itertools.product((0, 1), repeat=4):
             w = math.prod(p if b else 1.0 - p for b in x)

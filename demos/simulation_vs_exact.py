@@ -1,4 +1,4 @@
-"""Seeded slot-level simulation against the exact engines.
+"""Seeded Monte Carlo simulation against the exact engines.
 
 The Monte Carlo route estimates anything but converges slowly; the
 generating-function route is exact and fast.  This script shows the two

@@ -7,7 +7,7 @@ time in O(n + R^2), with R the rows filled before |1 - p - q|^T_min decays
 past 2^-54 (T_min the sum of the shortest link lengths so far; R = n at
 worst, when those lengths are mostly 0), extracts the latency
 distribution from the underlying generating functions, and cross-checks
-everything against slot-level simulation and absorbing-chain linear
+everything against Monte Carlo simulation and absorbing-chain linear
 algebra.
 
 Names are imported from their modules on first use, so loading the
@@ -34,7 +34,6 @@ _EXPORTS = {
         "det_traversal_time_batch",
         "det_model2_time",
         "det_model2_time_batch",
-        "bernoulli_ett",
         "steady_ett",
         "steady_pmf_as_printed",
         "max_geom_ett",

@@ -23,7 +23,6 @@ __all__ = [
     "det_traversal_time_batch",
     "det_model2_time",
     "det_model2_time_batch",
-    "bernoulli_ett",
     "bernoulli_pmf",
     "steady_ett",
     "steady_pmf_as_printed",
@@ -118,19 +117,6 @@ def det_model2_time(path: DeterministicPath) -> int:
     return int(det_model2_time_batch(b, d)[0])
 
 
-def bernoulli_ett(p: float, lengths) -> float:
-    """Expected traversal time with memoryless links (q = 1 - p), can't-start model.
-
-    Every observation finds the link on with probability p independently,
-    so each link costs its mean length plus a mean wait of (1 - p) / p.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must satisfy 0 < p <= 1, got {p}")
-    lengths = list(lengths)
-    mean_d = math.fsum(ld.mean() for ld in lengths)
-    return mean_d + len(lengths) * (1.0 - p) / p
-
-
 def _comb0(a: int, k: int) -> int:
     """Binomial coefficient with out-of-range arguments defined as 0."""
     if k < 0 or a < 0 or k > a:
@@ -159,7 +145,8 @@ def steady_ett(dyn: EdgeDynamics, lengths) -> float:
     """Expected traversal time from stationary initial states, can't-start model.
 
     Each link is off with probability 1 - pi_on when first observed and
-    then costs a mean geometric wait of 1/p.
+    then costs a mean geometric wait of 1/p.  Memoryless links (q = 1 - p)
+    have pi_on = p, so each hop pays a mean wait of (1 - p) / p.
     """
     lengths = list(lengths)
     mean_d = math.fsum(ld.mean() for ld in lengths)

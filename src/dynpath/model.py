@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "EdgeDynamics",
     "LengthDist",
@@ -184,24 +186,20 @@ def uniform_path(
     return PathSpec(bits, (length,) * len(bits), dynamics, model)
 
 
-def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int) -> float:
+def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int | np.ndarray) -> float | np.ndarray:
     """Probability the link is in state ``b`` after ``t`` slots, starting in ``a``.
 
+    ``t`` is an integer or an integer ndarray; the result has its shape.
     Uses the spectral closed forms of the two-state chain,
     P(1->0, t) = pi0 (1 - beta^t), P(1->1, t) = pi1 + pi0 beta^t,
     P(0->1, t) = pi1 (1 - beta^t), P(0->0, t) = pi0 + pi1 beta^t.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("states must be 0 or 1")
-    # beta may be negative; plain iterated multiplication keeps the sign exact.
-    bt = 1.0
-    beta = dyn.beta
-    for _ in range(t):
-        bt *= beta
+    bt = dyn.beta**t  # an integer power keeps the sign of a negative beta
     pi0, pi1 = dyn.pi0, dyn.pi1
     if a == 1:
         return pi0 * (1.0 - bt) if b == 0 else pi1 + pi0 * bt
     return pi1 * (1.0 - bt) if b == 1 else pi0 + pi1 * bt
-

@@ -2,16 +2,19 @@
 
 Two routes that share nothing with the generating-function machinery:
 
-* ``mc_estimate`` walks the slot semantics literally, advancing every
-  link's chain once per slot and moving the packet by observation rules,
-  vectorized over samples and deterministic per seed.
+* ``mc_estimate`` samples traversals link by link, vectorized over samples
+  and deterministic per seed.  A link is unobserved until the packet
+  arrives, so its state then follows the two-state t-step law
+  (``transient_prob``); from there the crossing is a sum of sojourns,
+  Geom(p) off-runs and Geom(q) on-runs, drawn whole rather than slot by
+  slot.
 * ``exact_ett_dp`` / ``exact_pmf_dp`` build the absorbing Markov chain
   over joint (packet position, crossing progress, link states) states,
   solving for expected absorption times, each to a small relative error,
   and propagating mass forward for the exact latency distribution.
 
-Both engines collapse runs of zero-length on-links within a slot, and both
-use the same normative timing: the packet observes link states at integer
+Both engines cross zero-length on-links within a slot, and both use the
+same normative timing: the packet observes link states at integer
 times, each off-observation costs one slot, and a d-slot crossing begun at
 time t completes at t + d.
 """
@@ -27,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
-from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
+from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, transient_prob
 
 __all__ = [
     "SimResult",
@@ -45,7 +48,7 @@ _CHUNK = 1 << 17
 
 
 # --------------------------------------------------------------------------
-# Monte Carlo slot simulator
+# Monte Carlo by sojourns
 # --------------------------------------------------------------------------
 
 
@@ -80,99 +83,53 @@ def _draw_lengths(rng: np.random.Generator, length: LengthDist, count: int) -> n
 
 def _simulate_chunk(path: PathSpec, m: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
-    n = path.n
-    model = path.model
-    p, q = path.dynamics.p, path.dynamics.q
-    identical = model is FailureModel.RETRANSMIT_IDENTICAL
-    resampled = model is FailureModel.RETRANSMIT_RESAMPLED
+    dyn, model = path.dynamics, path.model
+    t = np.zeros(m, dtype=np.int64)
 
-    cfg = np.broadcast_to(np.array(path.x, dtype=bool), (m, n)).copy()
-    node = np.zeros(m, dtype=np.int64)
-    prog = np.full(m, -1, dtype=np.int64)  # -1: not crossing
-    real = np.full(m, -1, dtype=np.int64)  # -1: length not drawn
-    out = np.zeros(m, dtype=np.int64)
-    alive = np.arange(m)
-
-    # per-link draw helper, vectorized over a set of row indices
-    def draw_for(rows: np.ndarray) -> np.ndarray:
-        d = np.empty(rows.size, dtype=np.int64)
-        nodes = node[rows]
-        for li in np.unique(nodes):
-            sel = nodes == li
-            d[sel] = _draw_lengths(rng, path.lengths[li], int(sel.sum()))
-        return d
-
-    t = 0
-    while alive.size:
-        if t > _STEP_CAP:
+    def add(rows: np.ndarray, slots: np.ndarray) -> None:
+        # t <= _STEP_CAP holds throughout, so the comparison cannot wrap
+        if (slots > _STEP_CAP - t[rows]).any():
             raise SimulationTimeout(f"sample exceeded {_STEP_CAP} slots")
-        # resolve everything instantaneous at time t
-        while True:
-            changed = False
-            done_cross = (prog >= 0) & (prog == real)
-            if done_cross.any():
-                node[done_cross] += 1
-                prog[done_cross] = -1
-                real[done_cross] = -1
-                changed = True
-            fin = node >= n
-            if fin.any():
-                out[alive[fin]] = t
-                keep = ~fin
-                alive = alive[keep]
-                node, prog, real, cfg = node[keep], prog[keep], real[keep], cfg[keep]
-                changed = True
-                if alive.size == 0:
-                    break
-            if identical:
-                undrawn = real < 0
-                if undrawn.any():
-                    rows = np.flatnonzero(undrawn)
-                    real[rows] = draw_for(rows)
-                    changed = True
-            awaiting = prog < 0
-            if awaiting.any():
-                bit = cfg[np.arange(node.size), node]
-                obs_on = awaiting & bit
-                if obs_on.any():
-                    rows = np.flatnonzero(obs_on)
-                    d = real[rows] if identical else draw_for(rows)
-                    instant = d == 0
-                    if instant.any():
-                        ir = rows[instant]
-                        node[ir] += 1
-                        real[ir] = -1  # a fresh link means a fresh draw
-                    started = ~instant
-                    if started.any():
-                        sr = rows[started]
-                        real[sr] = d[started]
-                        prog[sr] = 0
-                    changed = True
-            if not changed:
-                break
-        if alive.size == 0:
-            break
-        # slot passes: tick crossings by the current bit, then advance chains
-        bit = cfg[np.arange(node.size), node]
-        crossing = prog >= 0
+        t[rows] += slots
+
+    def wait(rows: np.ndarray) -> None:  # an off-run: Geom(p) slots until the link is on
+        add(rows, rng.geometric(dyn.p, rows.size))
+
+    everyone = np.arange(m)
+    for x, length in zip(path.x, path.lengths):
+        # Unobserved until the packet arrives, the link has flipped by then
+        # with the t-step probability, which is exactly 0 at t = 0.
+        flipped = rng.random(m) < transient_prob(dyn, x, 1 - x, t)
+        wait(np.flatnonzero(flipped == bool(x)))
+        d = _draw_lengths(rng, length, m)
         if model is FailureModel.CANT_START:
-            prog[crossing] += 1
+            add(everyone, d)
         elif model is FailureModel.RESUME:
-            prog[crossing & bit] += 1
+            add(everyone, d)
+            # each of the d - 1 seams between on-slots falls into an outage w.p. q
+            outages = rng.binomial(np.maximum(d - 1, 0), dyn.q)
+            while (rows := np.flatnonzero(outages)).size:
+                wait(rows)
+                outages[rows] -= 1
         else:
-            prog[crossing & bit] += 1
-            failed = crossing & ~bit
-            prog[failed] = -1
-            if resampled:
-                real[failed] = -1
-        u = rng.random(cfg.shape)
-        cfg = np.where(cfg, u >= q, u < p)
-        t += 1
-    return out
+            # An attempt needs d consecutive on-slots: it wins when its
+            # Geom(q) on-run reaches d, and otherwise pays the run plus the
+            # off-run after it.  An on-run never ends when q = 0.
+            rows = everyone
+            while rows.size:
+                run = rng.geometric(dyn.q, rows.size) if dyn.q > 0.0 else d
+                won = run >= d
+                add(rows[won], d[won])
+                rows, d = rows[~won], d[~won]
+                add(rows, run[~won])
+                wait(rows)
+                if model is FailureModel.RETRANSMIT_RESAMPLED:
+                    d = _draw_lengths(rng, length, rows.size)
+    return t
 
 
 def mc_estimate(path: PathSpec, samples: int, seed: int) -> SimResult:
-    """Seeded slot-by-slot Monte Carlo estimate of the traversal time.
+    """Seeded Monte Carlo estimate of the traversal time, drawn by sojourns.
 
     Samples are simulated in fixed-size chunks whose generators are spawned
     deterministically from ``seed``, so the result does not depend on how

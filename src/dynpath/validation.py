@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import (
-    bernoulli_ett,
     det_model2_time,
     det_traversal_time,
     DeterministicPath,
@@ -111,7 +110,7 @@ def reduction_checks(max_n: int) -> list[CheckResult]:
             weights = [math.prod(p if b else 1.0 - p for b in x) for x in configs]
             for _, ld in GRID_LENGTHS:
                 avg = _config_average(configs, weights, ld, dyn)
-                worst = max(worst, abs(avg - bernoulli_ett(p, [ld] * n)))
+                worst = max(worst, abs(avg - steady_ett(dyn, [ld] * n)))
     out.append(CheckResult("bernoulli_reduction", worst <= _ABS_TOL, f"worst abs err {worst:.3e}"))
 
     # stationary start: pi-weighted average over initial configs

@@ -13,7 +13,6 @@ import pytest
 
 from dynpath.closedform import (
     DeterministicPath,
-    bernoulli_ett,
     det_model2_time,
     det_model2_time_batch,
     det_traversal_time,
@@ -164,7 +163,7 @@ def test_criterion_4_closed_form_reductions():
                 for x in itertools.product((0, 1), repeat=n):
                     w = math.prod(p if b else 1.0 - p for b in x)
                     avg += w * ett(uniform_path(x, length, dyn, FailureModel.CANT_START))[0]
-                worst_b = max(worst_b, abs(avg - bernoulli_ett(p, [length] * n)))
+                worst_b = max(worst_b, abs(avg - steady_ett(dyn, [length] * n)))
     # (c) stationary start: pi-weighted configuration average
     worst_c = 0.0
     for p, q in ((0.2, 0.8), (0.5, 0.5), (0.8, 0.2), (0.3, 0.4)):

@@ -8,7 +8,6 @@ import pytest
 
 from dynpath.closedform import (
     DeterministicPath,
-    bernoulli_ett,
     bernoulli_pmf,
     det_model2_time,
     det_model2_time_batch,
@@ -87,11 +86,13 @@ class TestDeterministicSetting:
 
 
 class TestBernoulliModel:
+    # Memoryless links (q = 1 - p) start on with probability pi1 = p, so
+    # their configuration-averaged ETT is the stationary one.
     def test_ett_examples(self):
-        assert bernoulli_ett(0.5, [LengthDist.soa()] * 4) == pytest.approx(8.0)
-        assert bernoulli_ett(0.25, [LengthDist.cut()] * 3) == pytest.approx(9.0)
+        assert steady_ett(EdgeDynamics(0.5, 0.5), [LengthDist.soa()] * 4) == pytest.approx(8.0)
+        assert steady_ett(EdgeDynamics(0.25, 0.75), [LengthDist.cut()] * 3) == pytest.approx(9.0)
         lengths = [LengthDist.constant(2), LengthDist.from_pairs([(0, 0.5), (2, 0.5)])]
-        assert bernoulli_ett(1.0, lengths) == pytest.approx(3.0)
+        assert steady_ett(EdgeDynamics(1.0, 0.0), lengths) == pytest.approx(3.0)
 
     def test_pmf_examples(self):
         assert bernoulli_pmf(0.5, 2, 0, 0) == pytest.approx(0.25)
@@ -108,7 +109,9 @@ class TestBernoulliModel:
         lengths = [LengthDist.soa(), LengthDist.constant(2), LengthDist.cut()]
         for p in (0.2, 0.5, 0.9):
             dyn = EdgeDynamics(p, 1.0 - p)
-            assert bernoulli_ett(p, lengths) == pytest.approx(steady_ett(dyn, lengths), abs=1e-12)
+            # each hop pays its mean length plus a mean wait of (1 - p) / p
+            want = math.fsum(ld.mean() for ld in lengths) + len(lengths) * (1.0 - p) / p
+            assert steady_ett(dyn, lengths) == pytest.approx(want, abs=1e-12)
 
 
 class TestSteadyState:

@@ -63,11 +63,16 @@ class TestTransientProb:
     def test_matches_matrix_power(self, p, q):
         dyn = EdgeDynamics(p, q)
         m = np.array([[1 - p, p], [q, 1 - q]])
-        for t in range(51):
-            mt = np.linalg.matrix_power(m, t)
-            for a in (0, 1):
-                for b in (0, 1):
-                    assert transient_prob(dyn, a, b, t) == pytest.approx(mt[a, b], abs=1e-10)
+        powers = np.array([np.linalg.matrix_power(m, t) for t in range(51)])
+        times = np.arange(51)
+        for a in (0, 1):
+            for b in (0, 1):
+                for t in times:
+                    assert transient_prob(dyn, a, b, int(t)) == pytest.approx(powers[t, a, b], abs=1e-10)
+                # an integer array of times gives the same law elementwise
+                got = transient_prob(dyn, a, b, times)
+                assert got.shape == times.shape
+                np.testing.assert_allclose(got, powers[:, a, b], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p,q", [(0.3, 0.1), (0.5, 0.5), (0.05, 0.05), (0.9, 0.9)])
     def test_converges_to_stationary(self, p, q):
@@ -81,6 +86,8 @@ class TestTransientProb:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, -1)
+        with pytest.raises(ValueError):
+            transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, np.array([3, -1]))
 
 
 class TestStationary:

@@ -9,7 +9,7 @@ import pytest
 import dynpath.oracle as oracle
 from dynpath.closedform import bernoulli_pmf
 from dynpath.errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
-from dynpath.model import EdgeDynamics, FailureModel, LengthDist, uniform_path
+from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import (
     det_slot_time,
     det_slot_time_batch,
@@ -19,6 +19,11 @@ from dynpath.oracle import (
 )
 from dynpath.pgf import ett
 from test_acceptance import REL_TOL_ETT
+
+_C = [LengthDist.constant(d) for d in range(4)]
+_P01 = LengthDist.from_pairs([(0, 0.5), (1, 0.5)])
+_P02 = LengthDist.from_pairs([(0, 0.5), (2, 0.5)])
+_P13 = LengthDist.from_pairs([(1, 0.5), (3, 0.5)])
 
 
 class TestMonteCarlo:
@@ -64,6 +69,21 @@ class TestMonteCarlo:
         )
         with pytest.raises(SimulationTimeout):
             mc_estimate(path, 100, seed=0)
+
+    @pytest.mark.parametrize("model", list(FailureModel))
+    def test_tiny_p_times_out_instead_of_wrapping(self, model):
+        # Geom(1e-300) draws come back as 2**63 - 1; added to t they would wrap.
+        path = uniform_path((1, 0), LengthDist.constant(2), EdgeDynamics(1e-300, 0.5), model)
+        with pytest.raises(SimulationTimeout):
+            mc_estimate(path, 1000, seed=0)
+
+    @pytest.mark.parametrize("model", list(FailureModel))
+    def test_links_that_never_fail(self, model):
+        # q = 0: an on-run never ends, so every model crosses like cant_start.
+        path = uniform_path((0, 1, 0), _P13, EdgeDynamics(0.4, 0.0), model)
+        result = mc_estimate(path, 100_000, seed=3)
+        assert min(result.histogram) >= 3
+        assert abs(result.mean - exact_ett_dp(path)) <= 4.0 * result.stderr
 
     def test_rejects_zero_samples(self):
         path = uniform_path((1,), LengthDist.cut(), EdgeDynamics(0.5, 0.5), FailureModel.CANT_START)
@@ -171,6 +191,33 @@ class TestAgainstEachOther:
         result = mc_estimate(path, 150_000, seed=2024)
         expected = exact_ett_dp(path)
         assert abs(result.mean - expected) <= 4.0 * result.stderr
+
+    @pytest.mark.parametrize(
+        "x, lengths, p, q, model",
+        [
+            ((0, 1, 0), (_C[0], _C[2], _P02), 0.3, 0.4, FailureModel.CANT_START),
+            ((1, 0, 1), (_C[3], _C[1], _P13), 0.35, 0.45, FailureModel.RESUME),
+            ((0, 1), (_P13, _C[2]), 0.5, 0.3, FailureModel.RETRANSMIT_IDENTICAL),
+            ((1, 0, 1), (_P13, _P02, _C[1]), 0.6, 0.25, FailureModel.RETRANSMIT_RESAMPLED),
+            ((1, 0, 0), (_C[2], _C[0], _C[1]), 1.0, 1.0, FailureModel.CANT_START),
+            ((0, 1, 1), (_C[1], _C[3], _C[2]), 1.0, 1.0, FailureModel.RESUME),
+            ((1, 0, 0), (_P01, _C[1], _C[0]), 1.0, 1.0, FailureModel.RETRANSMIT_RESAMPLED),
+        ],
+        ids=["cant_start", "resume", "identical", "resampled", "cant_start_flip", "resume_flip", "resampled_flip"],
+    )
+    def test_histogram_matches_exact_pmf(self, x, lengths, p, q, model):
+        samples, horizon = 400_000, 80
+        path = PathSpec(x, lengths, EdgeDynamics(p, q), model)
+        result = mc_estimate(path, samples, seed=2024)
+        want = exact_pmf_dp(path, horizon)
+        want = np.append(want, max(0.0, 1.0 - want.sum()))  # last bin: t > horizon
+        got = np.zeros(horizon + 2)
+        for t, count in result.histogram.items():
+            got[min(t, horizon + 1)] += count
+        assert not got[want == 0.0].any()
+        # sigma is floored at one sample: a bin expecting 0.04 samples may hold one
+        sigma = np.sqrt(np.maximum(samples * want * (1.0 - want), 1.0))
+        assert np.all(np.abs(got - samples * want) <= 5.0 * sigma)
 
 
 class TestDeterministicSimulator:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF, REL_TOL_ETT
 
-from dynpath.closedform import bernoulli_ett, max_geom_ett, steady_ett
+from dynpath.closedform import max_geom_ett, steady_ett
 from dynpath.errors import InfiniteExpectation, NumericalSingularity
 from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
@@ -238,7 +238,7 @@ class TestEtt:
         for x in itertools.product((0, 1), repeat=n):
             w = math.prod(p if b else 1.0 - p for b in x)
             avg += w * ett(uniform_path(x, length, dyn, FailureModel.CANT_START))[0]
-        assert avg == pytest.approx(bernoulli_ett(p, [length] * n), abs=1e-9)
+        assert avg == pytest.approx(steady_ett(dyn, [length] * n), abs=1e-9)
 
     def test_stationary_average_reduces_to_steady_state(self):
         dyn = EdgeDynamics(0.6, 0.2)
