@@ -8,8 +8,9 @@ against the general engine or a direct simulation.
 import itertools
 import math
 
+import numpy as np
+
 from dynpath import (
-    DeterministicPath,
     EdgeDynamics,
     FailureModel,
     LengthDist,
@@ -33,12 +34,16 @@ def main() -> None:
         ((1, 1), (1, 1)),
         ((0, 1, 0), (2, 1, 3)),
     ):
-        a = det_traversal_time(DeterministicPath(bits, lengths))
+        a = det_traversal_time(bits, lengths)
         b = det_slot_time(bits, lengths, FailureModel.CANT_START)
         print(f"{str(bits):>12s} {str(lengths):>12s} {a:8d} {b:9d}")
-    m2 = DeterministicPath((1, 0), (2, 3))
-    print(f"resume model via unit-edge expansion: {det_model2_time(m2)} slots "
-          f"(simulated: {det_slot_time(m2.bits, m2.lengths, FailureModel.RESUME)})")
+    bits, lengths = (1, 0), (2, 3)
+    print(f"resume model via unit-edge expansion: {det_model2_time(bits, lengths)} slots "
+          f"(simulated: {det_slot_time(bits, lengths, FailureModel.RESUME)})")
+    starts = np.array(list(itertools.product((0, 1), repeat=3)))
+    lengths = np.tile((1, 2, 1), (len(starts), 1))
+    print(f"every start of three links of lengths (1, 2, 1), one row each: "
+          f"{det_traversal_time(starts, lengths).tolist()}")
 
     print("\nMemoryless links (q = 1 - p): each hop pays (1-p)/p of waiting")
     print("=" * 64)

@@ -29,11 +29,8 @@ _EXPORTS = {
         "uniform_path",
     ),
     "closedform": (
-        "DeterministicPath",
         "det_traversal_time",
-        "det_traversal_time_batch",
         "det_model2_time",
-        "det_model2_time_batch",
         "steady_ett",
         "steady_pmf_as_printed",
         "max_geom_ett",

@@ -4,117 +4,64 @@ These cover three corners where the general machinery collapses to pencil
 and paper: deterministic alternating links (p = q = 1), memoryless links
 (q = 1 - p, every slot an independent Bernoulli(p) coin), and links that
 start in the stationary distribution.  They serve both as fast paths and
-as cross-checks for the generating-function engine.
+as cross-checks for the generating-function engine.  The two alternating
+forms take one instance as (n,) bits and lengths, or m instances as
+(m, n) arrays, and are checked against ``oracle.det_slot_time``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import EdgeDynamics, LengthDist
+from .model import EdgeDynamics, det_instances
 
 __all__ = [
-    "DeterministicPath",
     "det_traversal_time",
-    "det_traversal_time_batch",
     "det_model2_time",
-    "det_model2_time_batch",
-    "bernoulli_pmf",
     "steady_ett",
     "steady_pmf_as_printed",
     "max_geom_ett",
 ]
 
 
-@dataclass(frozen=True)
-class DeterministicPath:
-    """Path instance for the alternating (p = q = 1) setting.
+def det_traversal_time(bits, lengths):
+    """Traversal time when every link flips state each slot (p = q = 1), can't-start model.
 
-    ``bits[i]`` is the initial state of link i+1 and ``lengths[i]`` its
-    constant length.  A virtual link 0 with state 1 and length 0 anchors
-    the boundary-change bookkeeping.
+    ``bits[..., i]`` is the initial state of link i+1 and ``lengths[..., i]``
+    its constant length: (n,) inputs give an int, (m, n) arrays one time
+    per row.  The crossings take sum(lengths) slots, plus one slot of
+    waiting at each link whose arrival time has the parity of its off
+    phase.  With states flipping every slot, the packet waits at the first
+    link when it starts off, and at link i+1 exactly when the length of
+    link i and the state change between the two links differ in parity.
     """
-
-    bits: tuple[int, ...]
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits or len(self.bits) != len(self.lengths):
-            raise ValueError("bits and lengths must be non-empty and equal length")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0/1, got {self.bits}")
-        if any(d < 0 for d in self.lengths):
-            raise ValueError(f"lengths must be nonnegative, got {self.lengths}")
+    b, d, one = det_instances(bits, lengths)
+    waits = (1 - b[:, 0]) + ((d[:, :-1] + b[:, :-1] + b[:, 1:]) % 2).sum(axis=1)
+    t = d.sum(axis=1) + waits
+    return int(t[0]) if one else t
 
 
-def det_traversal_time_batch(bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized alternating-setting traversal times under the can't-start model.
+def det_model2_time(bits, lengths):
+    """Traversal time when every link flips state each slot (p = q = 1), resume model.
 
-    ``bits`` and ``lengths`` are (m, n) integer arrays of m path instances.
-    Returns total crossing time plus one extra slot at each link whose
-    arrival-time parity lands on the link's off phase: with states flipping
-    every slot, the packet waits at link i+1 exactly when the length of
-    link i and the state change between the two links have equal parity.
+    Takes (n,) or (m, n) inputs as ``det_traversal_time``.  A link of
+    length d needing d cumulative on-slots behaves like d chained unit links
+    sharing its initial state, and zero-length links are dropped.  On that
+    chain of unit links the can't-start rule waits once inside each link of
+    length d >= 2 per extra unit (d - 1 waits), and once on entering a link
+    whose bit equals that of the last link before it of nonzero length
+    (taken as 0 for the first).
     """
-    bits = np.asarray(bits)
-    lengths = np.asarray(lengths)
-    if bits.ndim != 2 or bits.shape != lengths.shape:
-        raise ValueError("bits and lengths must be equal-shape (m, n) arrays")
-    m, n = bits.shape
-    total = lengths.sum(axis=1, dtype=np.int64)
-    prev_b = np.ones(m, dtype=bits.dtype)
-    prev_d = np.zeros(m, dtype=lengths.dtype)
-    for i in range(n):
-        delta = np.abs(bits[:, i] - prev_b)
-        total += (prev_d + delta) % 2
-        prev_b = bits[:, i]
-        prev_d = lengths[:, i]
-    return total
-
-
-def det_traversal_time(path: DeterministicPath) -> int:
-    """Traversal time of one alternating-setting path, can't-start model."""
-    b = np.array([path.bits], dtype=np.int64)
-    d = np.array([path.lengths], dtype=np.int64)
-    return int(det_traversal_time_batch(b, d)[0])
-
-
-def det_model2_time_batch(bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized alternating-setting traversal times under the resume model.
-
-    A link of length d with d cumulative on-slots required behaves exactly
-    like d chained unit links sharing its initial state, so each instance
-    is expanded that way and fed to the can't-start formula.  Zero-length
-    links contribute nothing to the expansion and are dropped.
-    """
-    bits = np.asarray(bits, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if bits.ndim != 2 or bits.shape != lengths.shape:
-        raise ValueError("bits and lengths must be equal-shape (m, n) arrays")
-    m = bits.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    widths = lengths.sum(axis=1)
-    for w in np.unique(widths):
-        sel = widths == w
-        if w == 0:
-            out[sel] = 0
-            continue
-        b = bits[sel]
-        ln = lengths[sel]
-        expanded = np.repeat(b.ravel(), ln.ravel()).reshape(-1, w)
-        out[sel] = det_traversal_time_batch(expanded, np.ones_like(expanded))
-    return out
-
-
-def det_model2_time(path: DeterministicPath) -> int:
-    """Traversal time of one alternating-setting path, resume model."""
-    b = np.array([path.bits], dtype=np.int64)
-    d = np.array([path.lengths], dtype=np.int64)
-    return int(det_model2_time_batch(b, d)[0])
+    b, d, one = det_instances(bits, lengths)
+    crossed = d > 0
+    last = np.maximum.accumulate(np.where(crossed, np.arange(b.shape[1]), -1), axis=1)
+    before = np.pad(last[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
+    prev_b = np.where(before >= 0, np.take_along_axis(b, np.maximum(before, 0), axis=1), 0)
+    t = d.sum(axis=1) + np.where(crossed, d - 1 + (b == prev_b), 0).sum(axis=1)
+    return int(t[0]) if one else t
 
 
 def _comb0(a: int, k: int) -> int:

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DynpathError",
+    "NumericalSingularity",
+    "InfiniteExpectation",
+    "ConfigurationError",
+    "SimulationTimeout",
+]
+
 
 class DynpathError(Exception):
     """Base class for all package-specific failures."""

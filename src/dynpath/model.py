@@ -22,6 +22,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InfiniteExpectation
+
 __all__ = [
     "EdgeDynamics",
     "LengthDist",
@@ -150,6 +152,22 @@ class FailureModel(str, Enum):
         return self in (FailureModel.RETRANSMIT_IDENTICAL, FailureModel.RETRANSMIT_RESAMPLED)
 
 
+def check_feasible(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> None:
+    """Raise InfiniteExpectation when a link of this law is never crossed.
+
+    With q = 1 every on-run lasts one slot, so a retransmitting link fails
+    every attempt at a length >= 2.  Identical retransmission repeats its
+    realized length and diverges when any length is >= 2; resampled
+    retransmission draws again and diverges only when every length is.
+    The series engine, both oracles and the slot simulator all call it.
+    """
+    if not (model.is_retransmit and dyn.q >= 1.0):
+        return
+    d = length.max_value if model is FailureModel.RETRANSMIT_IDENTICAL else min(length.values)
+    if d >= 2:
+        raise InfiniteExpectation(f"{model.value} with q = 1 never completes a length-{d} crossing")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """An n-link path: initial bits, per-link lengths, shared dynamics, failure model.
@@ -184,6 +202,26 @@ def uniform_path(
     """Path whose links all share one length distribution."""
     bits = tuple(int(b) for b in x)
     return PathSpec(bits, (length,) * len(bits), dynamics, model)
+
+
+def det_instances(bits, lengths) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Check p = q = 1 instances given as (n,) or (m, n) bits and lengths.
+
+    ``bits[..., i]`` is the initial state of link i+1 and ``lengths[..., i]``
+    its constant length.  Returns both as (m, n) int64 arrays, and whether
+    the input was one (n,) instance.
+    """
+    b, d = np.asarray(bits), np.asarray(lengths)
+    if b.shape != d.shape or b.ndim not in (1, 2) or b.shape[-1] == 0:
+        raise ValueError(
+            f"bits and lengths must share a non-empty (n,) or (m, n) shape, got {b.shape} and {d.shape}"
+        )
+    if not ((b == 0) | (b == 1)).all():
+        raise ValueError("bits must be 0/1")
+    if d.dtype.kind not in "iu" or (d < 0).any():
+        raise ValueError("lengths must be nonnegative integers")
+    rows_b, rows_d = (np.atleast_2d(a).astype(np.int64, copy=False) for a in (b, d))
+    return rows_b, rows_d, b.ndim == 1
 
 
 def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int | np.ndarray) -> float | np.ndarray:

@@ -1,6 +1,7 @@
 """Independent ground-truth engines for traversal times.
 
-Two routes that share nothing with the generating-function machinery:
+Three routes that share nothing with the generating-function machinery
+or the closed forms:
 
 * ``mc_estimate`` samples traversals link by link, vectorized over samples
   and deterministic per seed.  A link is unobserved until the packet
@@ -12,8 +13,11 @@ Two routes that share nothing with the generating-function machinery:
   over joint (packet position, crossing progress, link states) states,
   solving for expected absorption times, each to a small relative error,
   and propagating mass forward for the exact latency distribution.
+* ``det_slot_time`` walks the deterministic p = q = 1 setting slot by
+  slot, for one instance or an (m, n) array of them, as the reference for
+  the closed forms of that corner.
 
-Both engines cross zero-length on-links within a slot, and both use the
+The first two engines cross zero-length on-links within a slot, and both use the
 same normative timing: the packet observes link states at integer
 times, each off-observation costs one slot, and a d-slot crossing begun at
 time t completes at t + d.
@@ -30,7 +34,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
-from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, transient_prob
+from .model import (
+    EdgeDynamics,
+    FailureModel,
+    LengthDist,
+    PathSpec,
+    check_feasible,
+    det_instances,
+    transient_prob,
+)
 
 __all__ = [
     "SimResult",
@@ -38,7 +50,6 @@ __all__ = [
     "exact_ett_dp",
     "exact_pmf_dp",
     "det_slot_time",
-    "det_slot_time_batch",
 ]
 
 _STEP_CAP = 10_000_000
@@ -137,6 +148,8 @@ def mc_estimate(path: PathSpec, samples: int, seed: int) -> SimResult:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    for ld in set(path.lengths):
+        check_feasible(path.model, path.dynamics, ld)
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
@@ -189,10 +202,8 @@ class _AbsorbingChain:
             raise ConfigurationError(
                 f"exact engine supports length values <= {_MAX_SUPPORT}"
             )
-        if model.is_retransmit and dynamics.q >= 1.0 and any(
-            ld.max_value >= 2 for ld in lengths
-        ):
-            raise InfiniteExpectation("retransmit with q = 1 never completes length >= 2")
+        for ld in set(lengths):
+            check_feasible(model, dynamics, ld)
         self.n = n
         self.model = model
         self.lengths = lengths
@@ -411,83 +422,33 @@ def exact_pmf_dp(path: PathSpec, horizon: int, initial: str = "fixed") -> np.nda
 
 
 # --------------------------------------------------------------------------
-# Deterministic alternating-setting slot simulators (p = q = 1)
+# Deterministic alternating-setting slot simulator (p = q = 1)
 # --------------------------------------------------------------------------
 
 
-def det_slot_time(bits, lengths, model: FailureModel = FailureModel.CANT_START) -> int:
-    """Slot-by-slot traversal time when states flip deterministically each slot."""
-    bits = tuple(int(b) for b in bits)
-    lengths = tuple(int(d) for d in lengths)
-    if model.is_retransmit:
-        if any(d >= 2 for d in lengths):
-            raise InfiniteExpectation("retransmit never completes length >= 2 when q = 1")
-        model = FailureModel.CANT_START  # identical behavior on lengths in {0, 1}
-    t = 0
-    for i, (b, d) in enumerate(zip(bits, lengths)):
-        if model is FailureModel.CANT_START:
-            while (b ^ (t & 1)) == 0:
-                t += 1
-            t += d
-        else:  # RESUME
-            if d == 0:
-                while (b ^ (t & 1)) == 0:
-                    t += 1
-            else:
-                rem = d
-                while rem:
-                    rem -= b ^ (t & 1)
-                    t += 1
-    return t
+def det_slot_time(bits, lengths, model: FailureModel = FailureModel.CANT_START):
+    """Slot-by-slot traversal time when every link flips state each slot (p = q = 1).
 
-
-def det_slot_time_batch(bits: np.ndarray, lengths: np.ndarray, model: FailureModel = FailureModel.CANT_START) -> np.ndarray:
-    """Vectorized alternating-setting slot simulator over (m, n) instance arrays.
-
-    The resume variant requires all lengths >= 1 (unit progress per on-slot
-    keeps every instance in slot-lockstep).
+    ``bits[..., i]`` is the initial state of link i+1 and ``lengths[..., i]``
+    its constant length: (n,) inputs give an int, (m, n) arrays one time
+    per row.  The rules are walked literally, link by link and vectorized
+    over rows: the packet waits one slot at a time while the link is off,
+    then crosses in d slots, or under resume in d on-slots.  The retransmit
+    models act as can't-start on lengths 0 and 1 and never cross longer ones.
     """
-    bits = np.asarray(bits, dtype=np.int8)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    m, n = bits.shape
-    if model is FailureModel.CANT_START:
-        t = np.zeros(m, dtype=np.int64)
-        node = np.zeros(m, dtype=np.int64)
-        active = node < n
-        while active.any():
-            rows = np.flatnonzero(active)
-            nd = node[rows]
-            on = (bits[rows, nd] ^ (t[rows] & 1)) == 1
-            t[rows] += np.where(on, lengths[rows, nd], 1)
-            node[rows] += on
-            active = node < n
-        return t
-    if model is not FailureModel.RESUME:
-        raise ValueError("batch simulator covers the can't-start and resume models")
-    if (lengths < 1).any():
-        raise ValueError("resume batch simulator requires lengths >= 1")
-    out = np.zeros(m, dtype=np.int64)
-    idx = np.arange(m)
-    node = np.zeros(m, dtype=np.int64)
-    rem = lengths[:, 0].copy()
-    b_w, l_w = bits, lengths
-    t = 0
-    while idx.size:
-        rows = np.arange(idx.size)
-        on = (b_w[rows, node] ^ (t & 1)) == 1
-        rem -= on
-        t += 1
-        done_link = rem == 0
-        if done_link.any():
-            node[done_link] += 1
-            fin = done_link & (node == n)
-            out[idx[fin]] = t
-            keep = ~fin
-            cont = done_link & keep
-            if cont.any():
-                crows = np.flatnonzero(cont)
-                rem[crows] = l_w[crows, node[crows]]
-            if not keep.all():
-                idx, node, rem = idx[keep], node[keep], rem[keep]
-                b_w, l_w = b_w[keep], l_w[keep]
-    return out
+    b, d, one = det_instances(bits, lengths)
+    if model.is_retransmit:
+        check_feasible(model, EdgeDynamics(1.0, 1.0), LengthDist.constant(int(d.max(initial=0))))
+        model = FailureModel.CANT_START
+    t = np.zeros(b.shape[0], dtype=np.int64)
+    for bi, di in zip(b.T, d.T):
+        while (off := bi == t & 1).any():  # the link's state at t is bi ^ (t & 1)
+            t += off
+        if model is FailureModel.CANT_START:
+            t += di
+        else:
+            left = di.copy()
+            while (busy := left > 0).any():
+                left -= busy & (bi != t & 1)
+                t += busy
+    return int(t[0]) if one else t

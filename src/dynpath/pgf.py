@@ -45,11 +45,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, InfiniteExpectation, NumericalSingularity
-from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec
+from .errors import ConfigurationError, NumericalSingularity
+from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, check_feasible
 
 __all__ = [
-    "gy",
     "f_pair",
     "gamma_pair",
     "GammaPair",
@@ -76,15 +75,6 @@ def _as_z(z):
 def _guard_den(den) -> None:
     if np.abs(den).min(initial=np.inf) < _DEN_FLOOR:  # an empty grid passes
         raise NumericalSingularity("denominator vanished during PGF evaluation")
-
-
-def _check_feasible(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> None:
-    # A retransmitting link that drops every on-slot can never string
-    # together two consecutive on-slots: any support value >= 2 diverges.
-    if model.is_retransmit and dyn.q >= 1.0 and length.max_value >= 2:
-        raise InfiniteExpectation(
-            f"retransmit with q = 1 never completes a length-{length.max_value} crossing"
-        )
 
 
 # --- per-link laws: PGFs built from nonnegative stages ---
@@ -274,7 +264,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
 @lru_cache(maxsize=32)  # a law keeps 33 kB of blocks per recurrence once applied
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
-    _check_feasible(model, dyn, length)
+    check_feasible(model, dyn, length)
     q = dyn.q
     top = length.max_value
     atoms = list(zip(length.values, length.probs))

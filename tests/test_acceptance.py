@@ -1,35 +1,31 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-report.  Tolerances are pinned here and nowhere else.
+report.  Tolerances are pinned here.  Criteria 1, 2, 4 and 5 run the
+checks of ``dynpath.validation``, the ones ``dynpath validate`` reports,
+and judge the numbers they return; ``tests/test_cli.py`` keeps the
+command's own tolerances equal to these.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
-import pytest
 
-from dynpath.closedform import (
-    DeterministicPath,
-    det_model2_time,
-    det_model2_time_batch,
-    det_traversal_time,
-    det_traversal_time_batch,
-    max_geom_ett,
-    steady_ett,
-)
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
-from dynpath.oracle import (
-    det_slot_time,
-    det_slot_time_batch,
-    exact_ett_dp,
-    exact_pmf_dp,
-    mc_estimate,
+from dynpath.oracle import det_slot_time, mc_estimate
+from dynpath.pgf import ett, f_pair, gamma_pair, gy
+from dynpath.validation import (
+    GRID_LENGTHS,
+    GRID_PQ,
+    bernoulli_reduction,
+    deterministic_closed_forms,
+    distribution_equivalence,
+    eq1_discrepancy_table,
+    max_geometric_reduction,
+    oracle_equivalence,
+    stationary_reduction,
 )
-from dynpath.pgf import ett, f_pair, gamma_pair, gy, pmf
-from dynpath.validation import GRID_LENGTHS, GRID_PQ, eq1_discrepancy_table
 
 PQ_PAIRS = list(itertools.product(GRID_PQ, repeat=2))
 LENGTHS = [ld for _, ld in GRID_LENGTHS]
@@ -54,41 +50,16 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    count = 0
-    for n in range(1, 6):
-        for length in LENGTHS:
-            for model in FailureModel:
-                for p, q in PQ_PAIRS:
-                    dyn = EdgeDynamics(p, q)
-                    for x in itertools.product((0, 1), repeat=n):
-                        path = uniform_path(x, length, dyn, model)
-                        got = ett(path)[0]
-                        want = exact_ett_dp(path)
-                        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-                        count += 1
+    counts, worsts = zip(*(oracle_equivalence(n) for n in range(1, 6)))
+    count, worst = sum(counts), max(worsts)
     elapsed = time.perf_counter() - start
     ok = worst <= REL_TOL_ETT and elapsed <= BUDGET_ORACLE_S
     _report(1, "oracle equivalence", ok, f"{count} instances, worst rel err {worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_distribution_equivalence():
-    worst = 0.0
-    worst_mass = 0.0
-    count = 0
-    for n in range(1, 5):
-        for length in LENGTHS:
-            for model in FailureModel:
-                for p, q in PQ_PAIRS:
-                    dyn = EdgeDynamics(p, q)
-                    for x in itertools.product((0, 1), repeat=n):
-                        path = uniform_path(x, length, dyn, model)
-                        truncated = pmf(path, 40)
-                        exact = exact_pmf_dp(path, 40)
-                        worst = max(worst, float(np.max(np.abs(truncated.coeffs - exact))))
-                        mass = math.fsum(truncated.coeffs.tolist()) + truncated.tail_mass
-                        worst_mass = max(worst_mass, abs(mass - 1.0))
-                        count += 1
+    counts, worsts, masses = zip(*(distribution_equivalence(n, k=40) for n in range(1, 5)))
+    count, worst, worst_mass = sum(counts), max(worsts), max(masses)
     ok = worst <= ABS_TOL_PMF and worst_mass <= ABS_TOL_MASS
     _report(
         2,
@@ -143,38 +114,11 @@ def test_criterion_3_monte_carlo_concordance():
 
 def test_criterion_4_closed_form_reductions():
     # (a) never-failing zero-length links: max of geometric appearance times
-    worst_a = 0.0
-    for p in (0.2, 0.5, 0.8):
-        dyn = EdgeDynamics(p, 0.0)
-        for n_hat in range(0, 11):
-            for pad in (0, 2):  # absent links first, plus some initially-on links
-                bits = tuple([0] * n_hat + [1] * pad)
-                if not bits:
-                    continue
-                path = uniform_path(bits, LengthDist.cut(), dyn, FailureModel.CANT_START)
-                worst_a = max(worst_a, abs(ett(path)[0] - max_geom_ett(n_hat, p)))
+    _, worst_a = max_geometric_reduction()
     # (b) memoryless chains: Bernoulli-weighted configuration average
-    worst_b = 0.0
-    for p in (0.2, 0.5, 0.8):
-        dyn = EdgeDynamics(p, 1.0 - p)
-        for n in range(1, 5):
-            for length in LENGTHS:
-                avg = 0.0
-                for x in itertools.product((0, 1), repeat=n):
-                    w = math.prod(p if b else 1.0 - p for b in x)
-                    avg += w * ett(uniform_path(x, length, dyn, FailureModel.CANT_START))[0]
-                worst_b = max(worst_b, abs(avg - steady_ett(dyn, [length] * n)))
+    _, worst_b = bernoulli_reduction()
     # (c) stationary start: pi-weighted configuration average
-    worst_c = 0.0
-    for p, q in ((0.2, 0.8), (0.5, 0.5), (0.8, 0.2), (0.3, 0.4)):
-        dyn = EdgeDynamics(p, q)
-        for n in range(1, 5):
-            for length in LENGTHS:
-                avg = 0.0
-                for x in itertools.product((0, 1), repeat=n):
-                    w = math.prod(dyn.pi1 if b else dyn.pi0 for b in x)
-                    avg += w * ett(uniform_path(x, length, dyn, FailureModel.CANT_START))[0]
-                worst_c = max(worst_c, abs(avg - steady_ett(dyn, [length] * n)))
+    _, worst_c = stationary_reduction()
     ok = max(worst_a, worst_b, worst_c) <= TOL_REDUCTION
     _report(
         4,
@@ -184,56 +128,9 @@ def test_criterion_4_closed_form_reductions():
     )
 
 
-def _digit_grid(n: int, digits) -> np.ndarray:
-    digits = np.asarray(digits, dtype=np.int8)
-    span = len(digits)
-    idx = np.arange(span**n)
-    cols = [digits[(idx // span ** (n - 1 - j)) % span] for j in range(n)]
-    return np.stack(cols, axis=1)
-
-
 def test_criterion_5_deterministic_setting():
-    mismatches = 0
-    count = 0
-    # scalar operations, exhaustive through n = 5
-    for n in range(1, 6):
-        for bits in itertools.product((0, 1), repeat=n):
-            for lengths in itertools.product((0, 1, 2, 3), repeat=n):
-                path = DeterministicPath(bits, lengths)
-                count += 1
-                if det_traversal_time(path) != det_slot_time(bits, lengths, FailureModel.CANT_START):
-                    mismatches += 1
-                if all(d >= 1 for d in lengths) and det_model2_time(path) != det_slot_time(
-                    bits, lengths, FailureModel.RESUME
-                ):
-                    mismatches += 1
-    # batch kernels (the code path the scalar operations delegate to),
-    # exhaustive through n = 8, chunked over the leading bit-vector blocks
-    for n in range(6, 9):
-        bits_all = _digit_grid(n, (0, 1))
-        lens_m1 = _digit_grid(n, (0, 1, 2, 3))
-        lens_m2 = _digit_grid(n, (1, 2, 3))
-        block = max(1, (1 << 21) // lens_m1.shape[0])
-        for lo in range(0, bits_all.shape[0], block):
-            bits_blk = bits_all[lo : lo + block]
-            b1 = np.repeat(bits_blk, lens_m1.shape[0], axis=0)
-            l1 = np.tile(lens_m1, (bits_blk.shape[0], 1))
-            count += b1.shape[0]
-            mismatches += int(
-                np.count_nonzero(
-                    det_traversal_time_batch(b1, l1)
-                    != det_slot_time_batch(b1, l1, FailureModel.CANT_START)
-                )
-            )
-            b2 = np.repeat(bits_blk, lens_m2.shape[0], axis=0)
-            l2 = np.tile(lens_m2, (bits_blk.shape[0], 1))
-            count += b2.shape[0]
-            mismatches += int(
-                np.count_nonzero(
-                    det_model2_time_batch(b2, l2)
-                    != det_slot_time_batch(b2, l2, FailureModel.RESUME)
-                )
-            )
+    # every instance through n = 8: can't-start with lengths 0-3, resume with 1-3
+    count, mismatches = deterministic_closed_forms(8)
     # regression-lock the recorded counterexamples to the simplified printed
     # forms "2n - k + 1" (unit lengths) and "2D - k + 1" (resume model)
     sim_soa = det_slot_time((1, 1), (1, 1), FailureModel.CANT_START)

@@ -1,5 +1,6 @@
 """Command-line interface: config round-trips, output formats, exit codes."""
 
+import importlib
 import io
 import math
 import os
@@ -14,6 +15,7 @@ import dynpath.validation as validation
 from dynpath.cli import RunConfig, _sweep_values, main, parse_config_text
 from dynpath.errors import ConfigurationError
 from dynpath.model import LengthDist
+import test_acceptance
 
 BASIC = """
 p = 0.5
@@ -237,6 +239,15 @@ class TestSimulateCommand:
         assert float(kv(text)["mean"]) == 1.0
         assert hist.read_text().strip().splitlines()[1] == "1,5000"
 
+    def test_divergent_exits_2_before_simulating(self, tmp_path):
+        # q = 1 fails every attempt at length 2; the simulator would spin to its slot cap
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.5\nq = 1\nmodel = retransmit_identical\nedge = 1 2\n")
+        hist = tmp_path / "h.csv"
+        code, text = run_cli(["simulate", "--config", str(cfg), "--samples", "1", "--histogram", str(hist)])
+        assert code == 2
+        assert text == "" and not hist.exists()
+
     def test_unwritable_histogram_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text(SINGLE_OFF_CUT)
@@ -276,6 +287,8 @@ class TestValidateCommand:
         code, text = run_cli(["validate", "--max-n", "3"])
         assert code == 0
         assert "check oracle_equivalence_n3 = pass" in text
+        assert "check distribution_equivalence_n3 = pass" in text
+        assert "check distribution_equivalence_n4" not in text
         assert "result = pass" in text
 
     def test_empty_grid_passes(self):
@@ -289,14 +302,19 @@ class TestValidateCommand:
         assert "result = FAIL" in text
 
     def test_above_exact_limit_fails_before_any_check(self, monkeypatch, capsys):
-        def grid_ran(*args, **kwargs):
-            raise AssertionError("the oracle grid ran")
+        def check_ran(*args, **kwargs):
+            raise AssertionError("a check ran")
 
-        monkeypatch.setattr(validation, "oracle_grid_checks", grid_ran)
+        for name in ("oracle_grid_checks", "pmf_grid_checks", "reduction_checks", "eq1_discrepancy_table"):
+            monkeypatch.setattr(validation, name, check_ran)
         code, text = run_cli(["validate", "--max-n", "9"])
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err == "error: exact engine supports n <= 8, got 9\n"
+
+    def test_tolerances_are_the_acceptance_suite_s(self):
+        for name in ("REL_TOL_ETT", "ABS_TOL_PMF", "ABS_TOL_MASS", "TOL_REDUCTION"):
+            assert getattr(validation, name) == getattr(test_acceptance, name), name
 
 
 class TestSweepCommand:
@@ -384,6 +402,11 @@ def test_module_entrypoint_runs(tmp_path):
 def test_package_exports_resolve():
     missing = [name for name in dynpath.__all__ if not hasattr(dynpath, name)]
     assert missing == []
+
+
+def test_module_all_lists_exactly_the_package_exports():
+    for module, names in dynpath._EXPORTS.items():
+        assert importlib.import_module(f"dynpath.{module}").__all__ == list(names), module
 
 
 def test_exact_engines_and_validate_leave_scipy_unloaded():

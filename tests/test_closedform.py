@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from dynpath.closedform import (
-    DeterministicPath,
     bernoulli_pmf,
     det_model2_time,
-    det_model2_time_batch,
     det_traversal_time,
-    det_traversal_time_batch,
     max_geom_ett,
     steady_ett,
     steady_pmf_as_printed,
@@ -21,50 +18,67 @@ from dynpath.errors import ConfigurationError
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, uniform_path
 from dynpath.oracle import det_slot_time, exact_pmf_dp
 
+# every p = q = 1 kernel: the two closed forms and the slot simulator they are checked against
+KERNELS = (det_traversal_time, det_model2_time, det_slot_time)
+
 
 class TestDeterministicSetting:
     def test_examples(self):
-        assert det_traversal_time(DeterministicPath((1, 1), (0, 0))) == 0
-        assert det_traversal_time(DeterministicPath((1, 0, 1), (0, 0, 0))) == 2
-        assert det_traversal_time(DeterministicPath((1, 1), (1, 1))) == 3
+        assert det_traversal_time((1, 1), (0, 0)) == 0
+        assert det_traversal_time((1, 0, 1), (0, 0, 0)) == 2
+        assert det_traversal_time((1, 1), (1, 1)) == 3
 
     def test_model2_examples(self):
-        assert det_model2_time(DeterministicPath((1,), (1,))) == 1
-        assert det_model2_time(DeterministicPath((1,), (2,))) == 3
-        assert det_model2_time(DeterministicPath((0,), (1,))) == 2
+        assert det_model2_time((1,), (1,)) == 1
+        assert det_model2_time((1,), (2,)) == 3
+        assert det_model2_time((0,), (1,)) == 2
 
     def test_exhaustive_small_against_slot_simulator(self):
         for n in range(1, 5):
-            for bits in itertools.product((0, 1), repeat=n):
-                for lengths in itertools.product((0, 1, 2, 3), repeat=n):
-                    path = DeterministicPath(bits, lengths)
-                    assert det_traversal_time(path) == det_slot_time(
-                        bits, lengths, FailureModel.CANT_START
+            bits = np.array(list(itertools.product((0, 1), repeat=n)))
+            for lengths in itertools.product((0, 1, 2, 3), repeat=n):
+                lens = np.tile(lengths, (len(bits), 1))
+                np.testing.assert_array_equal(
+                    det_traversal_time(bits, lens), det_slot_time(bits, lens, FailureModel.CANT_START)
+                )
+                if min(lengths) >= 1:
+                    np.testing.assert_array_equal(
+                        det_model2_time(bits, lens), det_slot_time(bits, lens, FailureModel.RESUME)
                     )
-                    if all(d >= 1 for d in lengths):
-                        assert det_model2_time(path) == det_slot_time(
-                            bits, lengths, FailureModel.RESUME
-                        )
 
     def test_zero_length_edges_dropped_in_model2(self):
-        with_zero = DeterministicPath((1, 0, 1), (1, 0, 2))
-        without = DeterministicPath((1, 1), (1, 2))
-        assert det_model2_time(with_zero) == det_model2_time(without)
+        assert det_model2_time((1, 0, 1), (1, 0, 2)) == det_model2_time((1, 1), (1, 2))
 
-    def test_batch_matches_scalar(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_instance_gives_an_int_and_rows_an_array(self, kernel):
         rng = np.random.default_rng(20240917)
         for n in (2, 5, 8):
             bits = rng.integers(0, 2, size=(200, n))
             lens = rng.integers(0, 4, size=(200, n))
-            batch = det_traversal_time_batch(bits, lens)
+            batch = kernel(bits, lens)
+            assert isinstance(batch, np.ndarray) and batch.shape == (200,)
             for row in range(bits.shape[0]):
-                path = DeterministicPath(tuple(bits[row].tolist()), tuple(lens[row].tolist()))
-                assert batch[row] == det_traversal_time(path)
-            lens2 = rng.integers(1, 4, size=(200, n))
-            batch2 = det_model2_time_batch(bits, lens2)
-            for row in range(bits.shape[0]):
-                path = DeterministicPath(tuple(bits[row].tolist()), tuple(lens2[row].tolist()))
-                assert batch2[row] == det_model2_time(path)
+                one = kernel(tuple(bits[row].tolist()), tuple(lens[row].tolist()))
+                assert type(one) is int and one == batch[row]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "bits,lengths",
+        [
+            ((), ()),
+            ((1, 0), (1,)),
+            ([[1, 0]], [1, 0]),
+            ([[[1]]], [[[1]]]),
+            ((1, 2), (1, 1)),
+            ((0.5,), (1,)),
+            ((1, 0), (1, -1)),
+            ((1,), (1.5,)),
+        ],
+        ids=["empty", "unequal", "unequal_dims", "three_dims", "bit_2", "bit_half", "negative", "fractional"],
+    )
+    def test_rejects_what_is_not_an_instance(self, kernel, bits, lengths):
+        with pytest.raises(ValueError):
+            kernel(bits, lengths)
 
     def test_simplified_printed_forms_stay_wrong(self):
         # Regression locks for the known bad shortcuts: "2n - k + 1" for unit
@@ -74,14 +88,14 @@ class TestDeterministicSetting:
         n = 2
         k = abs(bits[0] - 1) + abs(bits[1] - bits[0])
         simulated = det_slot_time(bits, lengths, FailureModel.CANT_START)
-        assert simulated == det_traversal_time(DeterministicPath(bits, lengths)) == 3
+        assert simulated == det_traversal_time(bits, lengths) == 3
         assert 2 * n - k + 1 == 5 != simulated
 
         bits2, lengths2 = (1,), (1,)
         big_d = sum(lengths2)
         k2 = abs(bits2[0] - 1)
         simulated2 = det_slot_time(bits2, lengths2, FailureModel.RESUME)
-        assert simulated2 == det_model2_time(DeterministicPath(bits2, lengths2)) == 1
+        assert simulated2 == det_model2_time(bits2, lengths2) == 1
         assert 2 * big_d - k2 + 1 == 3 != simulated2
 
 

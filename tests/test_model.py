@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from dynpath.errors import InfiniteExpectation
 from dynpath.model import (
     EdgeDynamics,
     FailureModel,
     LengthDist,
     PathSpec,
+    check_feasible,
     transient_prob,
     uniform_path,
 )
@@ -158,3 +160,27 @@ class TestPathSpec:
         hash(path)
         with pytest.raises(AttributeError):
             path.x = (0,)
+
+
+class TestCheckFeasible:
+    @pytest.mark.parametrize(
+        "model, values, diverges",
+        [
+            (FailureModel.RETRANSMIT_IDENTICAL, (0, 1), False),
+            (FailureModel.RETRANSMIT_IDENTICAL, (1, 2), True),
+            (FailureModel.RETRANSMIT_IDENTICAL, (0, 3), True),
+            (FailureModel.RETRANSMIT_RESAMPLED, (1, 2), False),
+            (FailureModel.RETRANSMIT_RESAMPLED, (0, 3), False),
+            (FailureModel.RETRANSMIT_RESAMPLED, (2, 3), True),
+            (FailureModel.CANT_START, (2, 3), False),
+            (FailureModel.RESUME, (2, 3), False),
+        ],
+    )
+    def test_q_one_rule(self, model, values, diverges):
+        length = LengthDist(values, (0.5, 0.5))
+        if diverges:
+            with pytest.raises(InfiniteExpectation):
+                check_feasible(model, EdgeDynamics(0.5, 1.0), length)
+        else:
+            check_feasible(model, EdgeDynamics(0.5, 1.0), length)
+        check_feasible(model, EdgeDynamics(0.5, 0.999), length)  # any q < 1 is finite

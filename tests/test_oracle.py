@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,9 @@ import dynpath.oracle as oracle
 from dynpath.closedform import bernoulli_pmf
 from dynpath.errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
-from dynpath.oracle import (
-    det_slot_time,
-    det_slot_time_batch,
-    exact_ett_dp,
-    exact_pmf_dp,
-    mc_estimate,
-)
-from dynpath.pgf import ett
-from test_acceptance import REL_TOL_ETT
+from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp, mc_estimate
+from dynpath.pgf import ett, pmf
+from test_acceptance import ABS_TOL_PMF, REL_TOL_ETT
 
 _C = [LengthDist.constant(d) for d in range(4)]
 _P01 = LengthDist.from_pairs([(0, 0.5), (1, 0.5)])
@@ -62,13 +57,17 @@ class TestMonteCarlo:
         threaded = mc_estimate(path, 200_000, seed=9)
         assert single == threaded
 
-    def test_timeout_on_divergent_path(self, monkeypatch):
+    def test_timeout_past_the_step_cap(self, monkeypatch):
+        # an attempt wins with probability (1 - q)^3 = 1e-12: finite, but far past any cap
         monkeypatch.setattr(oracle, "_STEP_CAP", 500)
         path = uniform_path(
-            (1,), LengthDist.constant(2), EdgeDynamics(0.5, 1.0), FailureModel.RETRANSMIT_IDENTICAL
+            (1,), LengthDist.constant(4), EdgeDynamics(0.5, 0.9999), FailureModel.RETRANSMIT_IDENTICAL
         )
         with pytest.raises(SimulationTimeout):
             mc_estimate(path, 100, seed=0)
+        # at q = 1 no attempt ever wins, which is refused before simulating
+        with pytest.raises(InfiniteExpectation):
+            mc_estimate(replace(path, dynamics=EdgeDynamics(0.5, 1.0)), 100, seed=0)
 
     @pytest.mark.parametrize("model", list(FailureModel))
     def test_tiny_p_times_out_instead_of_wrapping(self, model):
@@ -220,6 +219,21 @@ class TestAgainstEachOther:
         assert np.all(np.abs(got - samples * want) <= 5.0 * sigma)
 
 
+def _scalar_slot_time(bits, lengths, model):
+    """One instance, one slot at a time: the state of link i at time t is bits[i] ^ (t & 1)."""
+    t = 0
+    for b, d in zip(bits, lengths):
+        if model is FailureModel.RESUME and d:
+            while d:
+                d -= b ^ (t & 1)
+                t += 1
+        else:
+            while (b ^ (t & 1)) == 0:
+                t += 1
+            t += d
+    return t
+
+
 class TestDeterministicSimulator:
     def test_examples(self):
         assert det_slot_time((1, 0, 1), (0, 0, 0)) == 2
@@ -227,26 +241,27 @@ class TestDeterministicSimulator:
         assert det_slot_time((1,), (2,), FailureModel.RESUME) == 3
         assert det_slot_time((0,), (1,), FailureModel.RESUME) == 2
 
-    def test_retransmit_unit_lengths_alias_cant_start(self):
-        assert det_slot_time((1, 0), (1, 0), FailureModel.RETRANSMIT_IDENTICAL) == det_slot_time(
-            (1, 0), (1, 0), FailureModel.CANT_START
-        )
-        with pytest.raises(InfiniteExpectation):
-            det_slot_time((1,), (2,), FailureModel.RETRANSMIT_RESAMPLED)
+    def test_retransmit_aliases_cant_start_up_to_unit_lengths(self):
+        rows = list(itertools.product(itertools.product((0, 1), repeat=3), repeat=2))
+        bits, lens = (np.array(col) for col in zip(*rows))
+        longer = lens.copy()
+        longer[-1, -1] = 2
+        for model in (FailureModel.RETRANSMIT_IDENTICAL, FailureModel.RETRANSMIT_RESAMPLED):
+            assert det_slot_time((1, 0), (1, 0), model) == det_slot_time((1, 0), (1, 0)) == 1
+            np.testing.assert_array_equal(det_slot_time(bits, lens, model), det_slot_time(bits, lens))
+            with pytest.raises(InfiniteExpectation):
+                det_slot_time((1,), (2,), model)
+            with pytest.raises(InfiniteExpectation):
+                det_slot_time(bits, longer, model)
 
-    def test_batch_matches_scalar_exhaustively(self):
+    def test_rows_match_a_scalar_walk_exhaustively(self):
         for n in (1, 2, 3):
             bits = np.array(list(itertools.product((0, 1), repeat=n)))
             for lengths in itertools.product((0, 1, 2, 3), repeat=n):
-                lens = np.tile(np.array(lengths), (bits.shape[0], 1))
-                got = det_slot_time_batch(bits, lens, FailureModel.CANT_START)
-                for row in range(bits.shape[0]):
-                    assert got[row] == det_slot_time(tuple(bits[row]), lengths)
-            for lengths in itertools.product((1, 2, 3), repeat=n):
-                lens = np.tile(np.array(lengths), (bits.shape[0], 1))
-                got = det_slot_time_batch(bits, lens, FailureModel.RESUME)
-                for row in range(bits.shape[0]):
-                    assert got[row] == det_slot_time(tuple(bits[row]), lengths, FailureModel.RESUME)
+                lens = np.tile(lengths, (len(bits), 1))
+                for model in (FailureModel.CANT_START, FailureModel.RESUME):
+                    want = [_scalar_slot_time(row, lengths, model) for row in bits.tolist()]
+                    assert det_slot_time(bits, lens, model).tolist() == want
 
     def test_matches_degenerate_chain_monte_carlo(self):
         # p = q = 1 makes the general simulator deterministic; both engines
@@ -297,3 +312,41 @@ class TestAgainstGeneralEngine:
     def test_near_singular_chain_matches_pgf(self, x, length, p, q, model):
         path = uniform_path(x, LengthDist.constant(length), EdgeDynamics(p, q), model)
         assert exact_ett_dp(path) == pytest.approx(ett(path)[0], rel=REL_TOL_ETT)
+
+
+class TestRetransmitAtQOne:
+    # q = 1 ends every on-run after one slot, so an attempt at a length >= 2 always fails.
+    _DYN = EdgeDynamics(0.5, 1.0)
+    _ONE_OR_TWO = LengthDist.from_pairs([(1, 0.5), (2, 0.5)])
+
+    _ENGINES = (
+        ett,
+        exact_ett_dp,
+        lambda path: pmf(path, 10),
+        lambda path: exact_pmf_dp(path, 10),
+        lambda path: mc_estimate(path, 10, seed=1),
+    )
+
+    @pytest.mark.parametrize(
+        "model, length",
+        [
+            (FailureModel.RETRANSMIT_IDENTICAL, _ONE_OR_TWO),
+            (FailureModel.RETRANSMIT_IDENTICAL, LengthDist.constant(2)),
+            (FailureModel.RETRANSMIT_RESAMPLED, LengthDist.from_pairs([(2, 0.5), (3, 0.5)])),
+        ],
+        ids=["identical_1_2", "identical_2", "resampled_2_3"],
+    )
+    def test_every_engine_refuses_a_link_it_never_crosses(self, model, length):
+        path = PathSpec((1, 0), (LengthDist.soa(), length), self._DYN, model)
+        for engine in self._ENGINES:
+            with pytest.raises(InfiniteExpectation):
+                engine(path)
+
+    def test_resampled_crosses_while_a_short_length_remains(self):
+        # E = 1/2 * 1 + 1/2 * (1 + 1/p + E): a failed attempt costs its slot and a repair
+        path = PathSpec((1,), (self._ONE_OR_TWO,), self._DYN, FailureModel.RETRANSMIT_RESAMPLED)
+        assert ett(path)[0] == pytest.approx(4.0, rel=1e-12)
+        assert exact_ett_dp(path) == pytest.approx(4.0, rel=REL_TOL_ETT)
+        np.testing.assert_allclose(pmf(path, 60).coeffs, exact_pmf_dp(path, 60), atol=ABS_TOL_PMF)
+        result = mc_estimate(path, 200_000, seed=7)
+        assert abs(result.mean - 4.0) <= 4.0 * result.stderr

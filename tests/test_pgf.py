@@ -361,6 +361,20 @@ _EDGE_P = st.one_of(st.sampled_from([1e-3, 0.02, 0.98, 1.0]), st.floats(1e-3, 1.
 _EDGE_Q = st.one_of(st.sampled_from([0.0, 1e-3, 0.02, 0.98, 1.0]), st.floats(0.0, 1.0))
 
 
+def _never_crossed(model, q, lengths):
+    """Whether some link is never crossed: the q = 1 rule, written apart from the package.
+
+    q = 1 ends every on-run after one slot, so retransmitting an identical
+    length >= 2 never succeeds, and resampling fails only when a link has
+    no length below 2.
+    """
+    if not (model.is_retransmit and q == 1.0):
+        return False
+    if model is FailureModel.RETRANSMIT_IDENTICAL:
+        return any(ld.max_value >= 2 for ld in lengths)
+    return any(min(ld.values) >= 2 for ld in lengths)
+
+
 @st.composite
 def _length_dists(draw, low=0):
     values = draw(st.lists(st.integers(low, 4), min_size=1, max_size=3, unique=True))
@@ -379,7 +393,7 @@ def _length_dists(draw, low=0):
 def test_pmf_heterogeneous_paths_match_forward_propagation(model, p, q, links):
     x, lengths = zip(*links)
     path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(p, q), model)
-    if model.is_retransmit and q == 1.0 and max(ld.max_value for ld in lengths) >= 2:
+    if _never_crossed(model, q, lengths):
         with pytest.raises(InfiniteExpectation):
             pmf(path, 30)
         return
@@ -404,12 +418,29 @@ _NEAR_EDGE = st.sampled_from([1e-4, 0.9999, 0.999999])
 def test_ett_heterogeneous_paths_match_absorbing_chain(model, p, q, links):
     x, lengths = zip(*links)
     path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(p, q), model)
-    if model.is_retransmit and q == 1.0 and max(ld.max_value for ld in lengths) >= 2:
+    if _never_crossed(model, q, lengths):
         for engine in (ett, exact_ett_dp):
             with pytest.raises(InfiniteExpectation):
                 engine(path)
         return
     assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
+
+
+# At q = 1 resampled retransmission still crosses a link that has a length
+# below 2 (an attempt at it wins); these paths once raised InfiniteExpectation.
+@pytest.mark.parametrize("p", [1e-3, 0.3, 1.0])
+def test_resampled_at_q_one_matches_absorbing_chain(p):
+    laws = (
+        LengthDist.from_pairs([(0, 0.5), (2, 0.5)]),
+        LengthDist.from_pairs([(1, 0.3), (4, 0.7)]),
+        LengthDist.from_pairs([(0, 0.2), (1, 0.2), (3, 0.6)]),
+    )
+    dyn = EdgeDynamics(p, 1.0)
+    for x, lengths in itertools.product(itertools.product((0, 1), repeat=2), itertools.product(laws, repeat=2)):
+        path = PathSpec(x, lengths, dyn, FailureModel.RETRANSMIT_RESAMPLED)
+        assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
+        series = pmf(path, 40)
+        assert np.max(np.abs(series.coeffs - exact_pmf_dp(path, 40))) <= ABS_TOL_PMF
 
 
 # Each link's term must not subtract two terms of size 1/p: written as
@@ -477,7 +508,7 @@ def _check_truncated_against_full(model, betas, u, laws, extra, seed):
     n = _decay_columns(dyns[0].beta) + extra
     lengths = tuple(laws[k] for k in rng.integers(len(laws), size=n))
     paths = [PathSpec(tuple(rng.integers(0, 2, size=n).tolist()), lengths, dyn, model) for dyn in dyns]
-    if model.is_retransmit and any(d.q == 1.0 for d in dyns) and max(ld.max_value for ld in laws) >= 2:
+    if any(_never_crossed(model, d.q, lengths) for d in dyns):
         with pytest.raises(InfiniteExpectation):
             ett_batch(paths)
         return
