@@ -47,20 +47,18 @@ def det_traversal_time(bits, lengths):
 def det_model2_time(bits, lengths):
     """Traversal time when every link flips state each slot (p = q = 1), resume model.
 
-    Takes (n,) or (m, n) inputs as ``det_traversal_time``.  A link of
-    length d needing d cumulative on-slots behaves like d chained unit links
-    sharing its initial state, and zero-length links are dropped.  On that
-    chain of unit links the can't-start rule waits once inside each link of
-    length d >= 2 per extra unit (d - 1 waits), and once on entering a link
-    whose bit equals that of the last link before it of nonzero length
-    (taken as 0 for the first).
+    Takes (n,) or (m, n) inputs as ``det_traversal_time``.  A link is off
+    in the slots whose parity equals its bit, so the packet waits one slot
+    at a link whose bit equals the parity of its arrival slot.  Once on, a
+    link of length d >= 1 needs d on-slots, which alternate with off ones:
+    2d - 1 slots, leaving in a slot of the parity of its bit.  A zero-length
+    link is crossed the moment it is on, as under can't-start, leaving in a
+    slot of the other parity.  The packet starts in slot 0.
     """
     b, d, one = det_instances(bits, lengths)
-    crossed = d > 0
-    last = np.maximum.accumulate(np.where(crossed, np.arange(b.shape[1]), -1), axis=1)
-    before = np.pad(last[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
-    prev_b = np.where(before >= 0, np.take_along_axis(b, np.maximum(before, 0), axis=1), 0)
-    t = d.sum(axis=1) + np.where(crossed, d - 1 + (b == prev_b), 0).sum(axis=1)
+    leave = np.where(d > 0, b, 1 - b)  # parity of the slot the packet leaves link i in
+    arrive = np.pad(leave[:, :-1], ((0, 0), (1, 0)), constant_values=0)
+    t = np.where(d > 0, 2 * d - 1, 0).sum(axis=1) + (b == arrive).sum(axis=1)
     return int(t[0]) if one else t
 
 

@@ -107,7 +107,8 @@ class _Z(LinkLaw):
         return 1.0, 1.0
 
     def apply(self, x):
-        out = np.zeros_like(x)
+        out = np.empty_like(x)
+        out[:, 0] = 0.0
         out[:, 1:] = x[:, :-1]
         return out
 
@@ -150,6 +151,7 @@ class _Iir(LinkLaw):
 
     def __init__(self, c, slack: float):
         self.c, self.slack = tuple(float(cj) for cj in c), float(slack)
+        self._powers: tuple[np.ndarray, ...] = ()
         proper = len(self.c) >= 2 and self.c[0] == 0.0 and min(self.c) >= 0.0
         if not (proper and self.slack > 0.0 and abs(self.slack + math.fsum(self.c) - 1.0) <= 1e-9):
             raise NumericalSingularity(
@@ -190,6 +192,16 @@ class _Iir(LinkLaw):
             inject[i, i:] = c[r:i:-1]
         return toeplitz, toeplitz[:, :r] @ inject
 
+    def _state_powers(self, steps: int) -> tuple[np.ndarray, ...]:
+        """A, A^2, A^4, ..., A^(2^(steps-1)) for the block state map A, grown on demand."""
+        powers = self._powers
+        if len(powers) < steps:
+            powers = powers or (self._blocks[1][-(len(self.c) - 1) :],)
+            while len(powers) < steps:
+                powers += (powers[-1] @ powers[-1],)
+            self._powers = powers  # one rebinding: a concurrent caller sees a whole tuple
+        return powers[:steps]
+
     def apply(self, x):
         toeplitz, carry = self._blocks
         width, r = carry.shape
@@ -198,8 +210,15 @@ class _Iir(LinkLaw):
         padded = np.zeros((rows, nb * width))
         padded[:, :n] = x
         y = (padded.reshape(rows * nb, width) @ toeplitz.T).reshape(rows, nb, width)
-        for b in range(1, nb):
-            y[:, b] += y[:, b - 1, -r:] @ carry.T
+        if nb > 1:
+            # Block b leaves the state s_b = u_b + A s_{b-1}: u_b its own last r
+            # outputs, A = carry[-r:].  After the step that adds A^d s_{b-d},
+            # s_b sums A^i u_{b-i} over i < 2d.  The last block's state is unread.
+            s = y[:, :-1, -r:].copy()
+            for j, power in enumerate(self._state_powers((nb - 2).bit_length())):
+                d = 1 << j
+                s[:, d:] += s[:, :-d] @ power.T
+            y[:, 1:] += s @ carry.T
         return y.reshape(rows, nb * width)[:, :n]
 
 
@@ -223,13 +242,16 @@ class _Sum(LinkLaw):
         return total, slope
 
     def apply(self, x):
-        out = np.zeros_like(x)
+        out = None
         for term in self.terms:
             y = x
             for law in term:
                 y = law.apply(y)
-            out += y
-        return out
+            if out is None:
+                out = y.copy() if y is x else y  # every law returns a new array
+            else:
+                out += y
+        return np.zeros_like(x) if out is None else out
 
 
 @lru_cache(maxsize=32)  # one G_Y stage, and its blocks, per dynamics

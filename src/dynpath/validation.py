@@ -145,16 +145,13 @@ def stationary_reduction() -> tuple[int, float]:
 def deterministic_closed_forms(max_n: int) -> tuple[int, int]:
     """Closed forms against the slot simulator on every p = q = 1 path up to max_n links.
 
-    Covers can't-start with lengths 0-3 and resume with lengths 1-3.
-    Returns (instances, mismatches).
+    Covers can't-start and resume with lengths 0-3.  Returns (instances,
+    mismatches).
     """
     count = bad = 0
-    for model, closed, low in (
-        (FailureModel.CANT_START, det_traversal_time, 0),
-        (FailureModel.RESUME, det_model2_time, 1),
-    ):
+    for model, closed in ((FailureModel.CANT_START, det_traversal_time), (FailureModel.RESUME, det_model2_time)):
         for n in range(1, max_n + 1):
-            lengths = low + np.indices((4 - low,) * n).reshape(n, -1).T  # every length vector
+            lengths = np.indices((4,) * n).reshape(n, -1).T  # every length vector
             for bits in itertools.product((0, 1), repeat=n):
                 bits = np.broadcast_to(bits, lengths.shape)
                 bad += int(np.count_nonzero(closed(bits, lengths) != det_slot_time(bits, lengths, model)))

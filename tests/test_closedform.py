@@ -15,8 +15,9 @@ from dynpath.closedform import (
     steady_pmf_as_printed,
 )
 from dynpath.errors import ConfigurationError
-from dynpath.model import EdgeDynamics, FailureModel, LengthDist, uniform_path
-from dynpath.oracle import det_slot_time, exact_pmf_dp
+from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
+from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp
+from dynpath.pgf import ett
 
 # every p = q = 1 kernel: the two closed forms and the slot simulator they are checked against
 KERNELS = (det_traversal_time, det_model2_time, det_slot_time)
@@ -41,13 +42,18 @@ class TestDeterministicSetting:
                 np.testing.assert_array_equal(
                     det_traversal_time(bits, lens), det_slot_time(bits, lens, FailureModel.CANT_START)
                 )
-                if min(lengths) >= 1:
-                    np.testing.assert_array_equal(
-                        det_model2_time(bits, lens), det_slot_time(bits, lens, FailureModel.RESUME)
-                    )
+                np.testing.assert_array_equal(
+                    det_model2_time(bits, lens), det_slot_time(bits, lens, FailureModel.RESUME)
+                )
 
-    def test_zero_length_edges_dropped_in_model2(self):
-        assert det_model2_time((1, 0, 1), (1, 0, 2)) == det_model2_time((1, 1), (1, 2))
+    def test_zero_length_link_found_off_waits_in_model2(self):
+        # The packet leaves the unit link in slot 1, when the zero-length
+        # second link (on at slot 0) is off: resume waits there one slot.
+        assert det_model2_time((1, 1), (1, 0)) == det_slot_time((1, 1), (1, 0), FailureModel.RESUME) == 2
+        lengths = (LengthDist.soa(), LengthDist.cut())
+        path = PathSpec((1, 1), lengths, EdgeDynamics(1.0, 1.0), FailureModel.RESUME)
+        assert ett(path)[0] == pytest.approx(2.0, rel=1e-12)
+        assert exact_ett_dp(path) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_one_instance_gives_an_int_and_rows_an_array(self, kernel):

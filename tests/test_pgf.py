@@ -355,6 +355,48 @@ class TestPmf:
             with pytest.raises(NumericalSingularity):
                 pmf(uniform_path((0, 1), LengthDist.constant(2), bad, model), 8)
 
+    @pytest.mark.parametrize("model", list(FailureModel))
+    def test_long_series_matches_forward_propagation(self, model):
+        # k = 8,400 gives 132 blocks of 64 coefficients: the block carry
+        # runs 8 doubling steps, past the 47 blocks of the k = 3,000 test.
+        lengths = (LengthDist.soa(), LengthDist.from_pairs([(0, 0.5), (2, 0.5)]), LengthDist.constant(3))
+        path = PathSpec((0, 1, 0), lengths, EdgeDynamics(0.01, 0.005), model)
+        series = pmf(path, 8400).coeffs
+        assert np.max(np.abs(series - exact_pmf_dp(path, 8400))) <= ABS_TOL_PMF
+
+
+def _plain_recurrence(c, x):
+    """y_t = x_t + sum_j c[j] y_{t-j}, one t at a time."""
+    r = len(c) - 1
+    c_rev = np.array(c[:0:-1])  # c[r], ..., c[1]
+    y = np.zeros((x.shape[0], r + x.shape[1]))  # r zeros before y_0
+    for t in range(x.shape[1]):
+        y[:, r + t] = x[:, t] + y[:, t : r + t] @ c_rev
+    return y[:, r:]
+
+
+@pytest.mark.parametrize("order", [1, 3, 64, 70])
+@pytest.mark.parametrize("slack", [0.5, 1e-3, 1e-9])
+def test_iir_apply_matches_plain_recurrence(order, slack):
+    # Orders of at least _BLOCK make the block `order` wide.  The lengths
+    # cover one block, its edges and 131 blocks plus 5 coefficients (a
+    # carry past 2^7 blocks that is not a power of two); the last, shorter
+    # one reads powers of the carry map that the longest one cached.
+    rng = np.random.default_rng(order)
+    w = rng.random(order) * (rng.random(order) < 0.7)
+    w[-1] = 1.0
+    c = np.concatenate(([0.0], w / math.fsum(w) * (1.0 - slack)))
+    law = _Iir(c, slack)
+    longest = pgf_module._BLOCK * 131 + 5
+    x = rng.random((2, longest)) * (rng.random((2, longest)) < 0.8)
+    x[:, :3] = 0.0  # leading zeros must stay exactly zero
+    want = _plain_recurrence(law.c, x)
+    for n in (1, 63, 64, 65, longest, 129):
+        got = law.apply(x[:, :n])
+        assert got.shape == (2, n)
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - want[:, :n]) <= 1e-12 * want[:, :n])
+
 
 # p and q with extra weight at and near both ends of their ranges
 _EDGE_P = st.one_of(st.sampled_from([1e-3, 0.02, 0.98, 1.0]), st.floats(1e-3, 1.0))
