@@ -31,10 +31,15 @@ of stages that are themselves PGFs with nonnegative coefficients:
 polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  The
 same law gives F_1's values at powers of beta, its slope at z = 1 (the
 mean delay) and, for the latency distribution, multiplies truncated
-series by F_1 as a linear recurrence, O(k) per stage.  A recurrence with
-nonnegative coefficients adds and never cancels, so rounding error stays
-relative to the coefficients it produces; one common denominator per law
-would not (expanding (1 - (1-p) z)^m amplifies rounding by about p^-m).
+series by F_1 as a linear recurrence, O(k) per stage.  A recurrence of
+order r runs in blocks of B = 64 coefficients: one B x B Toeplitz product
+per block, then a doubling scan over blocks (Kogge & Stone 1973) hands
+each block the state of r outputs the blocks before it leave, in
+ceil(log2(k/B)) vectorised steps of r x r products.  A recurrence with
+nonnegative coefficients, scan included, adds and never cancels, so
+rounding error stays relative to the coefficients it produces; one common
+denominator per law would not (expanding (1 - (1-p) z)^m amplifies
+rounding by about p^-m).
 """
 
 from __future__ import annotations
@@ -143,10 +148,17 @@ class _Iir(LinkLaw):
 
     Requires c[0] = 0, every c[j] >= 0 and ``slack`` = 1 - c(1) > 0 from a
     closed form; values use 1 - c(z) = slack + sum_j c[j] (1 - z^j), which
-    does not cancel near z = 1.  Series are filtered in blocks of B
-    coefficients: one B x B lower-triangular Toeplitz product of the
-    impulse response per block, plus a nonnegative carry of the last
-    len(c) - 1 outputs from block to block.
+    does not cancel near z = 1.  Series are filtered in blocks of B =
+    max(_BLOCK, r) coefficients, r = len(c) - 1: one B x B lower-triangular
+    Toeplitz product of the impulse response per block, O(k B) in all.
+    Block b then needs the last r outputs of block b-1, its state s_{b-1},
+    and s_b = u_b + A s_{b-1} with u_b block b's own last r outputs and A
+    the r x r state map.  A doubling scan solves that recurrence: step j
+    adds A^(2^j) s_{b-2^j} to every s_b at once, so ceil(log2(k/B)) steps
+    of O(k/B) r x r products each replace a loop over the k/B blocks; the
+    law caches the powers A^(2^j) as longer series ask for them.  A, its
+    powers and the carry are nonnegative, so every addend is a nonnegative
+    multiple of the input and the scan never cancels.
     """
 
     def __init__(self, c, slack: float):
@@ -192,11 +204,11 @@ class _Iir(LinkLaw):
             inject[i, i:] = c[r:i:-1]
         return toeplitz, toeplitz[:, :r] @ inject
 
-    def _state_powers(self, steps: int) -> tuple[np.ndarray, ...]:
-        """A, A^2, A^4, ..., A^(2^(steps-1)) for the block state map A, grown on demand."""
+    def _state_powers(self, a: np.ndarray, steps: int) -> tuple[np.ndarray, ...]:
+        """a, a^2, a^4, ..., a^(2^(steps-1)) for the block state map a, grown on demand."""
         powers = self._powers
         if len(powers) < steps:
-            powers = powers or (self._blocks[1][-(len(self.c) - 1) :],)
+            powers = powers or (a,)
             while len(powers) < steps:
                 powers += (powers[-1] @ powers[-1],)
             self._powers = powers  # one rebinding: a concurrent caller sees a whole tuple
@@ -211,11 +223,10 @@ class _Iir(LinkLaw):
         padded[:, :n] = x
         y = (padded.reshape(rows * nb, width) @ toeplitz.T).reshape(rows, nb, width)
         if nb > 1:
-            # Block b leaves the state s_b = u_b + A s_{b-1}: u_b its own last r
-            # outputs, A = carry[-r:].  After the step that adds A^d s_{b-d},
-            # s_b sums A^i u_{b-i} over i < 2d.  The last block's state is unread.
+            # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
+            # A^i u_{b-i} over i < 2d.  The last block's state is never read.
             s = y[:, :-1, -r:].copy()
-            for j, power in enumerate(self._state_powers((nb - 2).bit_length())):
+            for j, power in enumerate(self._state_powers(carry[-r:], (nb - 2).bit_length())):
                 d = 1 << j
                 s[:, d:] += s[:, :-d] @ power.T
             y[:, 1:] += s @ carry.T
@@ -251,7 +262,7 @@ class _Sum(LinkLaw):
                 out = y.copy() if y is x else y  # every law returns a new array
             else:
                 out += y
-        return np.zeros_like(x) if out is None else out
+        return out
 
 
 @lru_cache(maxsize=32)  # one G_Y stage, and its blocks, per dynamics
@@ -283,7 +294,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
 
 
-@lru_cache(maxsize=32)  # a law keeps 33 kB of blocks per recurrence once applied
+@lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
     check_feasible(model, dyn, length)

@@ -149,11 +149,14 @@ def deterministic_closed_forms(max_n: int) -> tuple[int, int]:
     mismatches).
     """
     count = bad = 0
-    for model, closed in ((FailureModel.CANT_START, det_traversal_time), (FailureModel.RESUME, det_model2_time)):
-        for n in range(1, max_n + 1):
-            lengths = np.indices((4,) * n).reshape(n, -1).T  # every length vector
-            for bits in itertools.product((0, 1), repeat=n):
-                bits = np.broadcast_to(bits, lengths.shape)
+    for n in range(1, max_n + 1):
+        lengths = np.indices((4,) * n).reshape(n, -1).T  # every length vector
+        for bits in itertools.product((0, 1), repeat=n):
+            bits = np.broadcast_to(bits, lengths.shape)
+            for model, closed in (
+                (FailureModel.CANT_START, det_traversal_time),
+                (FailureModel.RESUME, det_model2_time),
+            ):
                 bad += int(np.count_nonzero(closed(bits, lengths) != det_slot_time(bits, lengths, model)))
                 count += len(lengths)
     return count, bad

@@ -129,7 +129,7 @@ def test_criterion_4_closed_form_reductions():
 
 
 def test_criterion_5_deterministic_setting():
-    # every instance through n = 8: can't-start with lengths 0-3, resume with 1-3
+    # every instance through n = 8: can't-start and resume, lengths 0-3
     count, mismatches = deterministic_closed_forms(8)
     # regression-lock the recorded counterexamples to the simplified printed
     # forms "2n - k + 1" (unit lengths) and "2D - k + 1" (resume model)
