@@ -56,9 +56,10 @@ def det_model2_time(bits, lengths):
     slot of the other parity.  The packet starts in slot 0.
     """
     b, d, one = det_instances(bits, lengths)
-    leave = np.where(d > 0, b, 1 - b)  # parity of the slot the packet leaves link i in
-    arrive = np.pad(leave[:, :-1], ((0, 0), (1, 0)), constant_values=0)
-    t = np.where(d > 0, 2 * d - 1, 0).sum(axis=1) + (b == arrive).sum(axis=1)
+    crossed = d > 0
+    leave = b ^ ~crossed  # the parity of the slot the packet leaves link i in
+    waits = (b[:, 0] == 0) + (b[:, 1:] == leave[:, :-1]).sum(axis=1)
+    t = 2 * d.sum(axis=1) - crossed.sum(axis=1) + waits
     return int(t[0]) if one else t
 
 
