@@ -9,16 +9,19 @@ Path configurations come from a key-value text file:
     model = cant_start        # or resume / retransmit_identical / retransmit_resampled
     edge = 1 0                # <initial 0|1> <constant length>
     edge = 0 pmf 0:0.5 2:0.5  # <initial 0|1> pmf <value>:<prob> ...
-    # optional command defaults, overridable by flags:
+    # optional command defaults:
     # k, samples, seed, sweep_param, sweep_from, sweep_to, sweep_step
 
-Unknown keys are rejected.  Scalar output is ``key = value`` lines with 12
-significant digits; tabular output is CSV with a header row.  Exit codes:
-0 success, 1 invalid input, 2 divergent expectation, 3 numerical failure,
-4 simulation timeout.  DYNPATH_THREADS caps the worker threads of the
-Monte Carlo simulator (absent means single-threaded); results never
-depend on the thread count.  ``sweep`` fills one ETT table for all its
-points.
+A command flag overrides the config key of the same name (``--param``,
+``--from``, ``--to`` and ``--step`` name ``sweep_param``, ``sweep_from``,
+``sweep_to`` and ``sweep_step``); ``samples`` defaults to 100,000 and
+``seed`` to 0.  Unknown keys are rejected.  Scalar output is ``key =
+value`` lines with 12 significant digits; tabular output is CSV with a
+header row.  Exit codes: 0 success, 1 invalid input, 2 divergent
+expectation, 3 numerical failure, 4 simulation timeout.  DYNPATH_THREADS
+caps the worker threads of the Monte Carlo simulator (absent means
+single-threaded); results never depend on the thread count.  ``sweep``
+builds the path once and fills one ETT table for all its points.
 """
 
 from __future__ import annotations
@@ -52,15 +55,15 @@ _SCALAR_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration file: dynamics, model, edges, command defaults."""
+    """Parsed configuration file, flags applied: dynamics, model, edges, command options."""
 
     p: float
     q: float
     model: str
     edges: tuple[tuple[int, LengthDist], ...]
     k: int | None = None
-    samples: int | None = None
-    seed: int | None = None
+    samples: int = 100_000
+    seed: int = 0
     sweep_param: str | None = None
     sweep_from: float | None = None
     sweep_to: float | None = None
@@ -170,8 +173,8 @@ def cmd_ett(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_pmf(cfg: RunConfig, k: int | None, fmt: str, out) -> int:
-    result = pmf(cfg.path(), k)
+def cmd_pmf(cfg: RunConfig, fmt: str, out) -> int:
+    result = pmf(cfg.path(), cfg.k)
     if fmt == "csv":
         out.write("t,prob\n")
         for t, pr in enumerate(result.coeffs):
@@ -184,10 +187,10 @@ def cmd_pmf(cfg: RunConfig, k: int | None, fmt: str, out) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, samples: int, seed: int, hist_path: str, out) -> int:
+def cmd_simulate(cfg: RunConfig, hist_path: str, out) -> int:
     from .oracle import mc_estimate  # the other commands need neither oracle nor its imports
 
-    result = mc_estimate(cfg.path(), samples, seed)
+    result = mc_estimate(cfg.path(), cfg.samples, cfg.seed)
     try:
         with open(hist_path, "w", encoding="utf-8") as fh:
             fh.write("t,count\n")
@@ -231,15 +234,19 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, step: float, out) -> int:
+def cmd_sweep(cfg: RunConfig, out) -> int:
+    param, step = cfg.sweep_param, cfg.sweep_step
+    if param is None or cfg.sweep_from is None or cfg.sweep_to is None or step is None:
+        raise ConfigurationError("sweep needs --param, --from, --to and --step")
     if param not in ("p", "q"):
         raise ConfigurationError(f"sweep parameter must be p or q, got {param!r}")
     if step <= 0:
         raise ConfigurationError(f"sweep step must be positive, got {step}")
-    values = _sweep_values(start, stop, step)
+    values = _sweep_values(cfg.sweep_from, cfg.sweep_to, step)
     results = []
     if values:
-        paths = [replace(cfg, **{param: value}).path() for value in values]
+        base = cfg.path()
+        paths = [replace(base, dynamics=replace(base.dynamics, **{param: value})) for value in values]
         results = ett_batch(paths)[:, -1].tolist()
     out.write("param,value,ett\n")
     for v, e in zip(values, results):
@@ -281,10 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="ETT across a parameter range, CSV output")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", choices=("p", "q"), default=None)
-    p_sweep.add_argument("--from", dest="start", type=float, default=None)
-    p_sweep.add_argument("--to", dest="stop", type=float, default=None)
-    p_sweep.add_argument("--step", type=float, default=None)
+    p_sweep.add_argument("--param", dest="sweep_param", choices=("p", "q"), default=None)
+    p_sweep.add_argument("--from", dest="sweep_from", type=float, default=None)
+    p_sweep.add_argument("--to", dest="sweep_to", type=float, default=None)
+    p_sweep.add_argument("--step", dest="sweep_step", type=float, default=None)
     return parser
 
 
@@ -294,23 +301,16 @@ def main(argv=None, out=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args.max_n, args.inject_fault, out)
-        cfg = load_config(args.config)
+        flags = {k: v for k, v in vars(args).items() if k in _SCALAR_KEYS and v is not None}
+        cfg = replace(load_config(args.config), **flags)
         if args.command == "ett":
             return cmd_ett(cfg, out)
         if args.command == "pmf":
-            return cmd_pmf(cfg, args.k if args.k is not None else cfg.k, args.format, out)
+            return cmd_pmf(cfg, args.format, out)
         if args.command == "simulate":
-            samples = args.samples if args.samples is not None else (cfg.samples or 100_000)
-            seed = args.seed if args.seed is not None else (cfg.seed or 0)
-            return cmd_simulate(cfg, samples, seed, args.histogram, out)
+            return cmd_simulate(cfg, args.histogram, out)
         # the required subparsers leave sweep as the only other command
-        param = args.param or cfg.sweep_param
-        start = args.start if args.start is not None else cfg.sweep_from
-        stop = args.stop if args.stop is not None else cfg.sweep_to
-        step = args.step if args.step is not None else cfg.sweep_step
-        if param is None or start is None or stop is None or step is None:
-            raise ConfigurationError("sweep needs --param, --from, --to and --step")
-        return cmd_sweep(cfg, param, start, stop, step, out)
+        return cmd_sweep(cfg, out)
     except (ConfigurationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

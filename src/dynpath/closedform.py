@@ -39,7 +39,7 @@ def det_traversal_time(bits, lengths):
     link i and the state change between the two links differ in parity.
     """
     b, d, one = det_instances(bits, lengths)
-    waits = (1 - b[:, 0]) + ((d[:, :-1] + b[:, :-1] + b[:, 1:]) % 2).sum(axis=1)
+    waits = (1 - b[:, 0]) + ((d[:, :-1] ^ b[:, :-1] ^ b[:, 1:]) & 1).sum(axis=1)
     t = d.sum(axis=1) + waits
     return int(t[0]) if one else t
 

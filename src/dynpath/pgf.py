@@ -294,6 +294,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
 
 
+# A fill fetches each (length, dynamics) law by gamma_pair and at once by f_pair: one build.
 @lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
@@ -369,7 +370,7 @@ class GammaPair:
     gamma0: float
 
 
-@lru_cache(maxsize=32)  # as link_law: the slope walks every stage of the law
+@lru_cache(maxsize=32)  # the slope walks every stage of the law; one fetch per pair and fill
 def gamma_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> GammaPair:
     """Mean per-link delay conditioned on the arrival state of the link.
 
@@ -413,7 +414,8 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
 
     Row i of the table holds G_i(beta^k) for the columns k = 1..R-1-i that
     later rows still read, R being the path's ``_stop_rows`` row; from row R
-    on G_{i-1}(beta) counts as 0.  The batch fills as many rows as its
+    on G_{i-1}(beta) counts as 0.  One loop over the (length, dynamics)
+    pairs fetches each pair's law once.  The batch fills as many rows as its
     longest path needs and zeroes each path's rows past its own R, so a
     path's row holds the same values, bit for bit, as when filled alone.
     """
@@ -423,10 +425,6 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     di = [dyn_index.setdefault(path.dynamics, len(dyn_index)) for path in paths]
     len_index: dict[LengthDist, int] = {}
     li = [len_index.setdefault(ld, len(len_index)) for ld in first.lengths]
-
-    gam1 = np.array([[gamma_pair(model, dyn, ld).gamma1 for dyn in dyn_index] for ld in len_index])[li]
-    if len(dyn_index) > 1:
-        gam1 = gam1[:, di]
 
     m = len(paths)
     p, pi0, pi1 = np.array([(path.dynamics.p, path.dynamics.pi0, path.dynamics.pi1) for path in paths]).T
@@ -438,16 +436,18 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     stop = _stop_rows(weight, abs_beta, min_len)
     rows = int(stop.max())
 
-    # coef[0] is phi and coef[1] psi, per (length, dynamics, column k-1).
+    # gam1 per (length, dynamics); coef[0] is phi and coef[1] psi, per (length, dynamics, column k-1).
+    gam1 = np.empty((len(len_index), len(dyn_index)))
     coef = np.empty((2, len(len_index), len(dyn_index), max(rows - 1, 0)))
     for d, dyn in enumerate(dyn_index):
         zs = _beta_powers(dyn.beta, rows)[1:]
         for l, ld in enumerate(len_index):
+            gam1[l, d] = gamma_pair(model, dyn, ld).gamma1
             f0, f1 = f_pair(model, dyn, ld, zs)
             coef[0, l, d] = dyn.pi0 * f0 + dyn.pi1 * f1
             coef[1, l, d] = f0 - f1
     if len(dyn_index) > 1:
-        coef = coef[:, :, di]
+        gam1, coef = gam1[:, di], coef[:, :, di]
     coef_g, coef_shift = list(coef[0]), list(coef[1])
 
     bufs = np.ones((2, m, rows))  # G_0 = 1
@@ -469,7 +469,7 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     # how far the link's state at the packet's arrival still remembers the
     # initial bit.  With gamma0 = gamma1 + 1/p that is the form below, which
     # never subtracts two terms of size 1/p.
-    terms = gam1 + (pi0 + chi * col1) / p
+    terms = gam1[li] + (pi0 + chi * col1) / p
     per_node = np.zeros((m, n + 1))
     # cumsum adds in order along its axis, so a path's sums do not depend
     # on the batch around it.

@@ -262,6 +262,30 @@ class TestSimulateCommand:
         assert err.startswith(f"error: cannot write histogram {hist}: ")
         assert err.count("\n") == 1
 
+    def test_timeout_exits_4(self, tmp_path, capsys):
+        # a Geom(1e-9) off-run overshoots the 10^7-slot cap on the first draw
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 1e-9\nq = 0.5\nmodel = cant_start\nedge = 0 0\n")
+        hist = tmp_path / "h.csv"
+        code, text = run_cli(["simulate", "--config", str(cfg), "--samples", "10", "--seed", "1",
+                              "--histogram", str(hist)])
+        assert code == 4
+        assert text == "" and not hist.exists()
+        assert capsys.readouterr().err == "error: simulation timeout: sample exceeded 10000000 slots\n"
+
+    def test_config_samples_zero_exits_1_as_the_flag_does(self, tmp_path, capsys):
+        hist = tmp_path / "h.csv"
+        flag_cfg, key_cfg = tmp_path / "flag.txt", tmp_path / "key.txt"
+        flag_cfg.write_text(SINGLE_OFF_CUT)
+        key_cfg.write_text(SINGLE_OFF_CUT + "samples = 0\n")
+        errs = []
+        for args in (["--config", str(flag_cfg), "--samples", "0"], ["--config", str(key_cfg)]):
+            code, text = run_cli(["simulate", *args, "--histogram", str(hist)])
+            assert code == 1 and text == ""
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "error: samples must be >= 1, got 0\n"
+        assert not hist.exists()
+
     def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.txt"
         cfg.write_text(SINGLE_OFF_CUT)
@@ -358,6 +382,27 @@ class TestSweepCommand:
         code, text = run_cli(["sweep", "--config", str(cfg)])
         assert code == 0
         assert text.strip().splitlines()[1] == "p,0.5,2"
+
+    def test_flag_overrides_its_config_key(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SINGLE_OFF_CUT + "sweep_param = p\nsweep_from = 0.25\nsweep_to = 0.5\nsweep_step = 0.5\n")
+        code, text = run_cli(["sweep", "--config", str(cfg), "--step", "0.25"])
+        assert code == 0
+        assert text.strip().splitlines() == ["param,value,ett", "p,0.25,4", "p,0.5,2"]
+
+    def test_rising_ett_warns_once(self, tmp_path, capsys):
+        # exact_ett_dp agrees on both points, so the rise is real, not rounding
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.96\nq = 0.95\nmodel = cant_start\nedge = 0 3\nedge = 0 0\n")
+        code, text = run_cli(
+            ["sweep", "--config", str(cfg), "--param", "p", "--from", "0.96", "--to", "0.97",
+             "--step", "0.01"]
+        )
+        assert code == 0
+        assert text.strip().splitlines()[1:] == ["p,0.96,4.89233773318", "p,0.97,4.89322912281"]
+        assert capsys.readouterr().err == (
+            "warning: ETT increased from 4.89233773318 to 4.89322912281 between p=0.96 and p=0.97\n"
+        )
 
     @pytest.mark.parametrize(
         "extra,args",
