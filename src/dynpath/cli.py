@@ -235,14 +235,14 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig, out) -> int:
-    param, step = cfg.sweep_param, cfg.sweep_step
-    if param is None or cfg.sweep_from is None or cfg.sweep_to is None or step is None:
+    param, start, stop, step = cfg.sweep_param, cfg.sweep_from, cfg.sweep_to, cfg.sweep_step
+    if param is None or start is None or stop is None or step is None:
         raise ConfigurationError("sweep needs --param, --from, --to and --step")
     if param not in ("p", "q"):
         raise ConfigurationError(f"sweep parameter must be p or q, got {param!r}")
     if step <= 0:
         raise ConfigurationError(f"sweep step must be positive, got {step}")
-    values = _sweep_values(cfg.sweep_from, cfg.sweep_to, step)
+    values = _sweep_values(start, stop, step)
     results = []
     if values:
         base = cfg.path()

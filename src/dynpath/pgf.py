@@ -294,7 +294,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
 
 
-# A fill fetches each (length, dynamics) law by gamma_pair and at once by f_pair: one build.
+# _fill asks gamma_pair, then f_pair, for each (length, dynamics) law in turn: one build per fill.
 @lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
@@ -370,7 +370,7 @@ class GammaPair:
     gamma0: float
 
 
-@lru_cache(maxsize=32)  # the slope walks every stage of the law; one fetch per pair and fill
+@lru_cache(maxsize=32)  # one call per (length, dynamics) and fill; repeated small ett calls hit
 def gamma_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> GammaPair:
     """Mean per-link delay conditioned on the arrival state of the link.
 
