@@ -35,7 +35,7 @@ _EXPORTS = {
         "steady_pmf_as_printed",
         "max_geom_ett",
     ),
-    "pgf": ("f_pair", "gamma_pair", "GammaPair", "ett", "ett_batch", "pmf", "TruncatedPmf"),
+    "pgf": ("ett", "ett_batch", "pmf", "TruncatedPmf"),
     "oracle": ("SimResult", "mc_estimate", "exact_ett_dp", "exact_pmf_dp", "det_slot_time"),
     "errors": (
         "DynpathError",

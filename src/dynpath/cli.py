@@ -21,12 +21,14 @@ header row.  Exit codes: 0 success, 1 invalid input, 2 divergent
 expectation, 3 numerical failure, 4 simulation timeout.  DYNPATH_THREADS
 caps the worker threads of the Monte Carlo simulator (absent means
 single-threaded); results never depend on the thread count.  ``sweep``
-builds the path once and fills one ETT table for all its points.
+takes a finite range of at most 100,000 points, builds the path once and
+fills one ETT table for all its points.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -224,6 +226,9 @@ def cmd_validate(max_n: int, inject_fault: bool, out) -> int:
     return 0 if report.passed else 1
 
 
+_SWEEP_MAX_POINTS = 100_000
+
+
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     """The grid start + i*step up to stop, each point rounded to 12 decimals."""
     values = []
@@ -240,8 +245,14 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
         raise ConfigurationError("sweep needs --param, --from, --to and --step")
     if param not in ("p", "q"):
         raise ConfigurationError(f"sweep parameter must be p or q, got {param!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigurationError(f"sweep range must be finite, got from {start} to {stop} step {step}")
     if step <= 0:
         raise ConfigurationError(f"sweep step must be positive, got {step}")
+    if (stop - start) / step >= _SWEEP_MAX_POINTS:  # from > to is an empty grid
+        raise ConfigurationError(
+            f"sweep grid from {start} to {stop} step {step} has more than {_SWEEP_MAX_POINTS} points"
+        )
     values = _sweep_values(start, stop, step)
     results = []
     if values:

@@ -53,28 +53,12 @@ import numpy as np
 from .errors import ConfigurationError, NumericalSingularity
 from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, check_feasible
 
-__all__ = [
-    "f_pair",
-    "gamma_pair",
-    "GammaPair",
-    "ett",
-    "ett_batch",
-    "pmf",
-    "TruncatedPmf",
-]
+__all__ = ["ett", "ett_batch", "pmf", "TruncatedPmf"]
 
 _DEN_FLOOR = 1e-300
-_Z_SLACK = 1e-3  # allow finite-difference probes just past z = 1
 _PMF_MAX_K = 10_000_000
 _BLOCK = 64  # coefficients per block of the blocked IIR recurrence
 _EPS = 2.0**-54  # the rows the table drops move the ETT by at most _EPS of it
-
-
-def _as_z(z):
-    arr = np.asarray(z, dtype=float)
-    if arr.size and np.abs(arr).max() > 1.0 + _Z_SLACK:
-        raise ValueError("generating functions are evaluated on |z| <= 1")
-    return arr, np.isscalar(z) or arr.ndim == 0
 
 
 def _guard_den(den) -> None:
@@ -270,17 +254,6 @@ def _gy_law(dyn: EdgeDynamics) -> LinkLaw:
     return _Sum((_Poly((0.0, dyn.p)), _Iir((0.0, 1.0 - dyn.p), dyn.p)))
 
 
-def gy(dyn: EdgeDynamics, z):
-    """Generating function of the geometric off-period duration Y.
-
-    Pr(Y = k) = (1-p)^(k-1) p for k >= 1, hence p z / (1 - (1-p) z).
-    Accepts a scalar or an ndarray of evaluation points with |z| <= 1.
-    """
-    arr, scalar = _as_z(z)
-    out = _gy_law(dyn).value(arr)
-    return float(out) if scalar else out
-
-
 def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     """1 / (1 - G_Y E) for a failure law E, e[j] weighting z^j, with E(1) = 1 - success.
 
@@ -294,7 +267,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
 
 
-# _fill asks gamma_pair, then f_pair, for each (length, dynamics) law in turn: one build per fill.
+# _fill reads each (length, dynamics) law once per fill, and pmf once per link: one build while cached.
 @lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
@@ -347,41 +320,6 @@ def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> Link
     return _Sum((_Poly(n_poly), _retry(dyn, m_poly, math.fsum(n_poly))))
 
 
-def f_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist, z):
-    """Evaluate the conditional per-link delay PGFs (F_0(z), F_1(z)).
-
-    F_1 conditions on the link being on when the packet arrives, F_0 on it
-    being off; F_0 = G_Y F_1 always.  Accepts scalar or ndarray ``z``.
-    """
-    law = link_law(model, dyn, length)
-    arr, scalar = _as_z(z)
-    f1 = law.value(arr) + np.zeros_like(arr)  # a constant law evaluates to a float
-    f0 = _gy_law(dyn).value(arr) * f1
-    if scalar:
-        return float(f0), float(f1)
-    return f0, f1
-
-
-@dataclass(frozen=True)
-class GammaPair:
-    """Conditional mean per-link delays: gamma1 arriving on, gamma0 arriving off."""
-
-    gamma1: float
-    gamma0: float
-
-
-@lru_cache(maxsize=32)  # one call per (length, dynamics) and fill; repeated small ett calls hit
-def gamma_pair(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> GammaPair:
-    """Mean per-link delay conditioned on the arrival state of the link.
-
-    gamma1 = F_1'(1), the slope of the link law at z = 1 by the product
-    rule over its stages; gamma0 = gamma1 + 1/p since the extra off-period
-    wait is geometric with mean 1/p.
-    """
-    gamma1 = link_law(model, dyn, length).at_one()[1]
-    return GammaPair(gamma1=gamma1, gamma0=gamma1 + 1.0 / dyn.p)
-
-
 def _beta_powers(beta: float, count: int) -> np.ndarray:
     # Iterated multiplication; beta may be negative, so no pow/log tricks.
     out = np.empty(count)
@@ -415,7 +353,9 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     Row i of the table holds G_i(beta^k) for the columns k = 1..R-1-i that
     later rows still read, R being the path's ``_stop_rows`` row; from row R
     on G_{i-1}(beta) counts as 0.  One loop over the (length, dynamics)
-    pairs fetches each pair's law once.  The batch fills as many rows as its
+    pairs fetches each pair's law once and reads from it gamma1 = F_1'(1),
+    F_1 at the powers of beta and F_0 = G_Y F_1 there; the table never
+    needs gamma0 = gamma1 + 1/p itself.  The batch fills as many rows as its
     longest path needs and zeroes each path's rows past its own R, so a
     path's row holds the same values, bit for bit, as when filled alone.
     """
@@ -442,8 +382,10 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     for d, dyn in enumerate(dyn_index):
         zs = _beta_powers(dyn.beta, rows)[1:]
         for l, ld in enumerate(len_index):
-            gam1[l, d] = gamma_pair(model, dyn, ld).gamma1
-            f0, f1 = f_pair(model, dyn, ld, zs)
+            law = link_law(model, dyn, ld)
+            gam1[l, d] = law.at_one()[1]
+            f1 = law.value(zs)  # a constant law gives a float
+            f0 = _gy_law(dyn).value(zs) * f1
             coef[0, l, d] = dyn.pi0 * f0 + dyn.pi1 * f1
             coef[1, l, d] = f0 - f1
     if len(dyn_index) > 1:

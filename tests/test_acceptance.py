@@ -14,7 +14,7 @@ import numpy as np
 
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, mc_estimate
-from dynpath.pgf import ett, f_pair, gamma_pair, gy
+from dynpath.pgf import ett, link_law, pmf
 from dynpath.validation import (
     GRID_LENGTHS,
     GRID_PQ,
@@ -170,25 +170,33 @@ def test_criterion_6_printed_stationary_pmf_characterization():
 def test_criterion_7_structural_identities():
     lengths_pool = LENGTHS + [LengthDist.from_pairs([(1, 0.25), (3, 0.75)])]
     z_grid = np.linspace(-1.0, 1.0, 41)
-    # (i) off-arrival factorization F0 = G_Y F1
+    # (i) off-arrival factorization F0 = G_Y F1.  A one-link path's arrival
+    # PGF is F0 when the link starts off and F1 when it starts on, so the
+    # first pmf is Geom(p) convolved with the second.
     rng = np.random.default_rng(90210)
     models = list(FailureModel)
+    k = 40
     worst_f1f0 = 0.0
     for _ in range(200):
         model = models[rng.integers(len(models))]
         dyn = EdgeDynamics(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.95)))
         length = lengths_pool[rng.integers(len(lengths_pool))]
-        z = float(rng.uniform(-1.0, 1.0))
-        f0, f1 = f_pair(model, dyn, length, z)
-        worst_f1f0 = max(worst_f1f0, abs(f0 - gy(dyn, z) * f1))
-    # (ii) mean gap gamma0 - gamma1 = 1/p
+        rng.uniform(-1.0, 1.0)  # an unused z, drawn so each draw keeps its model, dynamics and length
+        f0 = pmf(PathSpec((0,), (length,), dyn, model), k).coeffs
+        f1 = pmf(PathSpec((1,), (length,), dyn, model), k).coeffs
+        geom = np.zeros(k + 1)
+        geom[1:] = dyn.p * (1.0 - dyn.p) ** np.arange(k)  # Pr(Y = t) = (1-p)^(t-1) p
+        worst_f1f0 = max(worst_f1f0, float(np.max(np.abs(f0 - np.convolve(geom, f1)[: k + 1]))))
+    # (ii) mean gap gamma0 - gamma1 = 1/p, the ETTs of a one-link path
+    # that starts off and on
     worst_gap = 0.0
     for model in FailureModel:
         for p, q in PQ_PAIRS:
             dyn = EdgeDynamics(p, q)
             for length in lengths_pool:
-                g = gamma_pair(model, dyn, length)
-                worst_gap = max(worst_gap, abs(g.gamma0 - g.gamma1 - 1.0 / p))
+                gamma0 = ett(PathSpec((0,), (length,), dyn, model))[0]
+                gamma1 = ett(PathSpec((1,), (length,), dyn, model))[0]
+                worst_gap = max(worst_gap, abs(gamma0 - gamma1 - 1.0 / p))
     # (iii) failure models coincide when every length is 0 or 1
     worst_equiv = 0.0
     mixed = (LengthDist.cut(), LengthDist.soa(), LengthDist.from_pairs([(0, 0.3), (1, 0.7)]))
@@ -202,20 +210,20 @@ def test_criterion_7_structural_identities():
     for p, q in ((0.4, 0.7), (0.8, 0.3)):
         dyn = EdgeDynamics(p, q)
         for d in (0, 1, 2, 3):
-            fa = f_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d), z_grid)[1]
-            fb = f_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d), z_grid)[1]
+            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d)).value(z_grid)
+            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d)).value(z_grid)
             worst_collapse = max(worst_collapse, float(np.max(np.abs(fa - fb))))
     # ... and differ somewhere for a two-point length distribution
     two_point = LengthDist.from_pairs([(1, 0.5), (3, 0.5)])
     dyn = EdgeDynamics(0.4, 0.7)
-    fa = f_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, two_point, z_grid)[1]
-    fb = f_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, two_point, z_grid)[1]
+    fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, two_point).value(z_grid)
+    fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, two_point).value(z_grid)
     differs = float(np.max(np.abs(fa - fb))) > 1e-6
     # (v) resampled retransmission with unit lengths reduces to F1(z) = z
     worst_unit = 0.0
     for p, q in ((0.3, 0.2), (0.6, 0.9), (0.5, 1.0)):
         dyn = EdgeDynamics(p, q)
-        f1 = f_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.soa(), z_grid)[1]
+        f1 = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.soa()).value(z_grid)
         worst_unit = max(worst_unit, float(np.max(np.abs(f1 - z_grid))))
     ok = (
         worst_f1f0 <= TOL_F1F0

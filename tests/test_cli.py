@@ -410,8 +410,11 @@ class TestSweepCommand:
             ("", ["--param", "p", "--from", "0.1", "--to", "0.5", "--step", "0"]),
             ("sweep_param = x\n", ["--from", "0.1", "--to", "0.5", "--step", "0.1"]),
             ("", []),
+            ("", ["--param", "p", "--from", "0.1", "--to", "inf", "--step", "0.1"]),
+            ("", ["--param", "p", "--from", "0.1", "--to", "0.2", "--step", "1e-300"]),
+            ("", ["--param", "p", "--from", "nan", "--to", "0.5", "--step", "0.1"]),
         ],
-        ids=["zero_step", "config_param_x", "no_options"],
+        ids=["zero_step", "config_param_x", "no_options", "infinite_to", "runaway_grid", "nan_from"],
     )
     def test_bad_sweep_options_exit_1(self, tmp_path, capsys, extra, args):
         cfg = tmp_path / "c.txt"

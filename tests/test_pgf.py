@@ -15,17 +15,8 @@ from dynpath.errors import InfiniteExpectation, NumericalSingularity
 from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
-from dynpath.pgf import (
-    GammaPair,
-    ett,
-    ett_batch,
-    f_pair,
-    gamma_pair,
-    gy,
-    link_law,
-    pmf,
-)
-from dynpath.pgf import _Iir
+from dynpath.pgf import ett, ett_batch, link_law, pmf
+from dynpath.pgf import _gy_law, _Iir
 
 ALL_LENGTHS = [
     LengthDist.cut(),
@@ -38,24 +29,31 @@ ALL_LENGTHS = [
 Z_GRID = np.linspace(-1.0, 1.0, 21)
 
 
+def geom_pgf(p, z):
+    """G_Y(z) = p z / (1 - (1-p) z), the PGF of the Geom(p) off-period wait, written out."""
+    return p * z / (1.0 - (1.0 - p) * z)
+
+
+def f0_f1(model, dyn, length, z):
+    """(F_0(z), F_1(z)) of one link: F_1 from its law, F_0 = G_Y F_1."""
+    f1 = link_law(model, dyn, length).value(np.asarray(z, dtype=float))
+    return geom_pgf(dyn.p, z) * f1, f1
+
+
 class TestGy:
     def test_normalization(self):
-        assert gy(EdgeDynamics(0.37, 0.2), 1.0) == pytest.approx(1.0)
+        assert _gy_law(EdgeDynamics(0.37, 0.2)).value(1.0) == pytest.approx(1.0)
 
     def test_waits_at_least_one_slot(self):
-        assert gy(EdgeDynamics(0.37, 0.2), 0.0) == 0.0
+        assert _gy_law(EdgeDynamics(0.37, 0.2)).value(0.0) == 0.0
 
     def test_geometric_series_value(self):
-        assert gy(EdgeDynamics(0.25, 0.25), 0.5) == pytest.approx(0.2)
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            gy(EdgeDynamics(0.5, 0.5), 1.5)
+        assert _gy_law(EdgeDynamics(0.25, 0.25)).value(0.5) == pytest.approx(0.2)
 
 
 class TestFPair:
     def test_cant_start_unit_link(self):
-        f0, f1 = f_pair(FailureModel.CANT_START, EdgeDynamics(0.5, 0.5), LengthDist.soa(), 0.5)
+        f0, f1 = f0_f1(FailureModel.CANT_START, EdgeDynamics(0.5, 0.5), LengthDist.soa(), 0.5)
         assert f1 == pytest.approx(0.5)
         assert f0 == pytest.approx(1.0 / 6.0)
 
@@ -65,7 +63,7 @@ class TestFPair:
     @pytest.mark.parametrize("p,q", [(0.3, 0.2), (0.7, 0.9), (0.5, 1.0)])
     def test_retransmit_unit_link_reduces_to_z(self, model, p, q):
         dyn = EdgeDynamics(p, q)
-        f0, f1 = f_pair(model, dyn, LengthDist.soa(), Z_GRID)
+        f0, f1 = f0_f1(model, dyn, LengthDist.soa(), Z_GRID)
         np.testing.assert_allclose(f1, Z_GRID, atol=1e-12)
         expected_f0 = p * Z_GRID**2 / (1.0 - (1.0 - p) * Z_GRID)
         np.testing.assert_allclose(f0, expected_f0, atol=1e-12)
@@ -75,14 +73,17 @@ class TestFPair:
     )
     def test_retransmit_zero_link_reduces_to_one(self, model):
         dyn = EdgeDynamics(0.4, 0.6)
-        f0, f1 = f_pair(model, dyn, LengthDist.cut(), Z_GRID)
+        f0, f1 = f0_f1(model, dyn, LengthDist.cut(), Z_GRID)
         np.testing.assert_allclose(f1, np.ones_like(Z_GRID), atol=1e-12)
-        np.testing.assert_allclose(f0, gy(dyn, Z_GRID), atol=1e-12)
+        np.testing.assert_allclose(f0, geom_pgf(dyn.p, Z_GRID), atol=1e-12)
 
     def test_off_arrival_factorizes_through_wait(self):
-        # F0 = G_Y * F1 across 200 random (model, p, q, length, z) tuples
+        # F0 = G_Y * F1 across 200 random (model, p, q, length, z) tuples: the
+        # engine's G_Y at z, and a one-link path's pmf found off against
+        # Geom(p) convolved with its pmf found on.
         rng = np.random.default_rng(61524)
         models = list(FailureModel)
+        k = 40
         for _ in range(200):
             model = models[rng.integers(len(models))]
             p = float(rng.uniform(0.05, 1.0))
@@ -90,78 +91,84 @@ class TestFPair:
             length = ALL_LENGTHS[rng.integers(len(ALL_LENGTHS))]
             z = float(rng.uniform(-1.0, 1.0))
             dyn = EdgeDynamics(p, q)
-            f0, f1 = f_pair(model, dyn, length, z)
-            assert abs(f0 - gy(dyn, z) * f1) <= 1e-12
+            assert abs(_gy_law(dyn).value(z) - geom_pgf(p, z)) <= 1e-12
+            f0 = pmf(PathSpec((0,), (length,), dyn, model), k).coeffs
+            f1 = pmf(PathSpec((1,), (length,), dyn, model), k).coeffs
+            geom = np.zeros(k + 1)
+            geom[1:] = p * (1.0 - p) ** np.arange(k)
+            assert np.max(np.abs(f0 - np.convolve(geom, f1)[: k + 1])) <= 1e-12
 
     @pytest.mark.parametrize("model", list(FailureModel))
     @pytest.mark.parametrize("length", ALL_LENGTHS)
     def test_normalization_at_one(self, model, length):
         dyn = EdgeDynamics(0.35, 0.45)
-        f0, f1 = f_pair(model, dyn, length, 1.0)
-        assert f1 == pytest.approx(1.0, abs=1e-12)
-        assert f0 == pytest.approx(1.0, abs=1e-12)
+        law = link_law(model, dyn, length)
+        assert law.value(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert law.at_one()[0] == pytest.approx(1.0, abs=1e-12)
+        assert _gy_law(dyn).value(1.0) * law.value(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_divergent_retransmit_rejected(self):
         dyn = EdgeDynamics(0.5, 1.0)
         for model in (FailureModel.RETRANSMIT_IDENTICAL, FailureModel.RETRANSMIT_RESAMPLED):
             with pytest.raises(InfiniteExpectation):
-                f_pair(model, dyn, LengthDist.constant(2), 0.5)
+                link_law(model, dyn, LengthDist.constant(2))
 
     def test_case_collapse_for_constant_lengths(self):
         dyn = EdgeDynamics(0.4, 0.7)
         for d in (0, 1, 2, 3):
-            fa = f_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d), Z_GRID)[1]
-            fb = f_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d), Z_GRID)[1]
+            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d)).value(Z_GRID)
+            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d)).value(Z_GRID)
             np.testing.assert_allclose(fa, fb, atol=1e-12)
 
     def test_cases_differ_for_two_point_lengths(self):
         dyn = EdgeDynamics(0.4, 0.7)
         length = LengthDist.from_pairs([(1, 0.5), (3, 0.5)])
-        fa = f_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, length, Z_GRID)[1]
-        fb = f_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, length, Z_GRID)[1]
+        fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, length).value(Z_GRID)
+        fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, length).value(Z_GRID)
         assert np.max(np.abs(fa - fb)) > 1e-6
 
-    def test_link_pgf_pair_wrapper(self):
-        model, dyn, length = FailureModel.RESUME, EdgeDynamics(0.5, 0.5), LengthDist.constant(2)
-        assert f_pair(model, dyn, length, 1.0)[1] == pytest.approx(1.0)
-        f0, f1 = f_pair(model, dyn, length, 0.5)
-        assert f0 == pytest.approx(gy(dyn, 0.5) * f1)
-        assert gamma_pair(model, dyn, length) == GammaPair(3.0, 5.0)
+
+def gamma1(model, dyn, length):
+    """F_1'(1), the mean crossing delay of a link found on."""
+    return link_law(model, dyn, length).at_one()[1]
 
 
 class TestGammaPair:
     def test_examples(self):
         d5 = EdgeDynamics(0.5, 0.5)
-        assert gamma_pair(FailureModel.CANT_START, d5, LengthDist.constant(2)) == GammaPair(2.0, 4.0)
-        g = gamma_pair(FailureModel.RESUME, d5, LengthDist.constant(2))
-        assert g.gamma1 == pytest.approx(3.0)
+        assert gamma1(FailureModel.CANT_START, d5, LengthDist.constant(2)) == 2.0
+        assert gamma1(FailureModel.RESUME, d5, LengthDist.constant(2)) == pytest.approx(3.0)
         for model in (FailureModel.RETRANSMIT_IDENTICAL, FailureModel.RETRANSMIT_RESAMPLED):
             for dyn in (EdgeDynamics(0.3, 0.4), EdgeDynamics(0.9, 0.1)):
-                assert gamma_pair(model, dyn, LengthDist.soa()).gamma1 == pytest.approx(1.0)
+                assert gamma1(model, dyn, LengthDist.soa()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("model", list(FailureModel))
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     def test_off_on_gap_is_inverse_p(self, model, p, q):
+        # gamma0 and gamma1 are the ETTs of a one-link path that starts off and on.
         dyn = EdgeDynamics(p, q)
         for length in ALL_LENGTHS:
-            g = gamma_pair(model, dyn, length)
-            assert g.gamma0 - g.gamma1 == pytest.approx(1.0 / p, abs=1e-9)
-            assert g.gamma1 >= length.mean() - 1e-12
+            g0 = ett(PathSpec((0,), (length,), dyn, model))[0]
+            g1 = ett(PathSpec((1,), (length,), dyn, model))[0]
+            assert g1 == gamma1(model, dyn, length)
+            assert g0 - g1 == pytest.approx(1.0 / p, abs=1e-9)
+            assert g1 >= length.mean() - 1e-12
 
     @pytest.mark.parametrize("model", list(FailureModel))
     @pytest.mark.parametrize("length", ALL_LENGTHS)
     def test_matches_finite_difference(self, model, length):
         dyn = EdgeDynamics(0.45, 0.35)
         h = 1e-5
-        up = f_pair(model, dyn, length, 1.0 + h)[1]
-        down = f_pair(model, dyn, length, 1.0 - h)[1]
-        fd = (up - down) / (2.0 * h)
-        assert gamma_pair(model, dyn, length).gamma1 == pytest.approx(fd, abs=1e-5)
+        law = link_law(model, dyn, length)
+        up = law.value(np.array([1.0 + h]))
+        down = law.value(np.array([1.0 - h]))
+        fd = float(np.squeeze((up - down) / (2.0 * h)))
+        assert gamma1(model, dyn, length) == pytest.approx(fd, abs=1e-5)
 
     def test_divergent_retransmit_rejected(self):
         with pytest.raises(InfiniteExpectation):
-            gamma_pair(FailureModel.RETRANSMIT_IDENTICAL, EdgeDynamics(0.5, 1.0), LengthDist.constant(3))
+            gamma1(FailureModel.RETRANSMIT_IDENTICAL, EdgeDynamics(0.5, 1.0), LengthDist.constant(3))
 
     @pytest.mark.parametrize("p,q", [(0.999999, 0.999999), (1e-4, 0.9999), (0.5, 0.99)])
     def test_case_collapse_near_q_one(self, p, q):
@@ -171,9 +178,9 @@ class TestGammaPair:
         # p = q = 0.999999 that difference is exactly 0).
         dyn = EdgeDynamics(p, q)
         for d in (2, 3, 4):
-            ident = gamma_pair(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d))
-            resampled = gamma_pair(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d))
-            assert resampled.gamma1 == pytest.approx(ident.gamma1, rel=1e-12)
+            ident = gamma1(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d))
+            resampled = gamma1(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d))
+            assert resampled == pytest.approx(ident, rel=1e-12)
 
 
 class TestEtt:
@@ -573,14 +580,12 @@ def test_ett_batch_rejects_mismatched_paths():
 
 
 def _stop_rows(paths):
-    """The rows the fill keeps per path, from gamma_pair link by link."""
+    """The rows the fill keeps per path, link i weighing |gamma0 - gamma1| |chi_i| = |chi_i| / p."""
     weight = []
     for path in paths:
         dyn = path.dynamics
-        pairs = (gamma_pair(path.model, dyn, ld) for ld in path.lengths)
-        gaps = [abs(g.gamma0 - g.gamma1) for g in pairs]
         chi = [dyn.pi0 if xi else dyn.pi1 for xi in path.x]
-        weight.append(np.array(gaps) * np.array(chi))
+        weight.append(np.array(chi) / dyn.p)
     abs_beta = np.array([abs(path.dynamics.beta) for path in paths])
     min_len = np.array([min(ld.values) for ld in paths[0].lengths])
     return pgf_module._stop_rows(np.array(weight).T, abs_beta, min_len)
