@@ -127,15 +127,22 @@ def parse_config_text(text: str) -> RunConfig:
     scalars: dict[str, object] = {}
     edges: list[tuple[int, LengthDist]] = []
     laws: dict[str, LengthDist] = {}
+    parsed: dict[str, tuple[int, LengthDist]] = {}  # each distinct edge text, parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, sep, value = raw.partition("#")[0].partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            if key:
+                raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
-        if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key == "edge":
-            edges.append(_parse_edge(value, laws))
+            edge = parsed.get(value)
+            if edge is None:
+                try:
+                    edge = parsed[value] = _parse_edge(value, laws)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"line {lineno}: {exc}") from None
+            edges.append(edge)
         elif key in _SCALAR_KEYS:
             if key in scalars:
                 raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")

@@ -231,13 +231,22 @@ def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int | np.ndarray) -> fl
     Uses the spectral closed forms of the two-state chain,
     P(1->0, t) = pi0 (1 - beta^t), P(1->1, t) = pi1 + pi0 beta^t,
     P(0->1, t) = pi1 (1 - beta^t), P(0->0, t) = pi0 + pi1 beta^t.
+    Each is formed from nonnegative terms, so no result is negative: the
+    staying forms subtract at odd t when beta < 0, and are then written
+    with pi_a + pi_{1-a} beta = 1 - l, l being the one-slot leaving
+    probability (q from on, p from off), as
+    P(a->a, t) = (1 - l) + pi_{1-a} |beta| (1 - beta^(t-1)) for t >= 1,
+    which is exactly 0 where the chain cannot stay (l = 1 at t = 1).
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("states must be 0 or 1")
-    bt = dyn.beta**t  # an integer power keeps the sign of a negative beta
-    pi0, pi1 = dyn.pi0, dyn.pi1
-    if a == 1:
-        return pi0 * (1.0 - bt) if b == 0 else pi1 + pi0 * bt
-    return pi1 * (1.0 - bt) if b == 1 else pi0 + pi1 * bt
+    beta = dyn.beta
+    stay_pi, other = (dyn.pi1, dyn.pi0) if a == 1 else (dyn.pi0, dyn.pi1)
+    if a != b or beta >= 0.0:
+        bt = beta**t  # an integer power keeps the sign of a negative beta; |beta^t| <= 1
+        return other * (1.0 - bt) if a != b else stay_pi + other * bt
+    leave = dyn.q if a == 1 else dyn.p
+    stay = (1.0 - leave) - other * beta * (1.0 - beta ** np.maximum(t - 1, 0))
+    return np.where(np.asarray(t) == 0, 1.0, stay)[()]

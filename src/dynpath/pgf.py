@@ -26,6 +26,20 @@ near n when |beta| = 1 or most shortest lengths are 0, and the fill is
 then O(n^2).  ``ett_batch`` fills one table for many paths that share
 their lengths and model.
 
+The latency distribution does not use the beta form.  That would carry
+the series G_{i-1}(beta z) beside G_{i-1}(z) and add it with the signed
+weight chi_i (its coefficients alternate in sign when beta < 0), so a
+small coefficient of G_i would come out as a difference of larger ones.
+The pmf conditions each link on its state at the packet's arrival
+instead: given T_{i-1} = t, link i is on with probability P(x_i -> 1, t)
+(``model.transient_prob``), so with g = G_{i-1}
+
+    G_i = F_1 (g P(x_i -> 1, .) + G_Y (g P(x_i -> 0, .))),
+
+the products with P taken coefficient by coefficient.  One series goes
+through G_Y and one through F_1 per link, and every factor is
+nonnegative, so nothing cancels.
+
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
 polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  The
@@ -51,7 +65,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalSingularity
-from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, check_feasible
+from .model import EdgeDynamics, FailureModel, LengthDist, PathSpec, check_feasible, transient_prob
 
 __all__ = ["ett", "ett_batch", "pmf", "TruncatedPmf"]
 
@@ -465,7 +479,9 @@ class TruncatedPmf:
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "TruncatedPmf":
-        coeffs = np.where((coeffs < 0.0) & (coeffs > -1e-12), 0.0, coeffs)
+        """Wrap probabilities; a negative or non-finite one raises NumericalSingularity."""
+        if not np.all(np.isfinite(coeffs) & (coeffs >= 0.0)):
+            raise NumericalSingularity("a latency probability is negative or not finite")
         tail = 1.0 - math.fsum(coeffs.tolist())
         return cls(coeffs=coeffs, tail_mass=tail)
 
@@ -481,12 +497,12 @@ class TruncatedPmf:
 def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     """Latency distribution Pr(T = t) up to degree ``k``, tail mass reported.
 
-    Runs the table recursion on truncated power series.  Substituting
-    z -> beta z multiplies coefficient t by beta^t, and each link passes
-    the pair [G_{i-1}(z), G_{i-1}(beta z)] through its ``link_law`` and
-    then G_Y's: every stage is a polynomial or a linear recurrence with
-    nonnegative coefficients, so a link costs O(k) per stage.  When ``k``
-    is omitted it defaults to ceil(20 * (ett + 1)).
+    Runs the arrival recursion G_i = F_1 (g P(x_i -> 1, .) + G_Y (g
+    P(x_i -> 0, .))) on one truncated power series g = G_{i-1} (module
+    docstring): the part of g that finds link i off goes through G_Y's
+    stages, the sum through the link's ``link_law``.  Every factor and
+    stage is nonnegative, so a link costs O(k) per stage and its sums never
+    cancel.  When ``k`` is omitted it defaults to ceil(20 * (ett + 1)).
     """
     if k is None:
         total, _ = ett(path)
@@ -496,15 +512,15 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     if k > _PMF_MAX_K:
         raise ConfigurationError(f"k = {k} exceeds the coefficient budget {_PMF_MAX_K}")
     dyn = path.dynamics
-    pi0, pi1 = dyn.pi0, dyn.pi1
-    beta_pows = _beta_powers(dyn.beta, k + 1)
     gy_law = _gy_law(dyn)
-    g = np.zeros(k + 1)
-    g[0] = 1.0
+    ts = np.arange(k + 1)
+    # found[x] = (P(x -> 0, t), P(x -> 1, t)) for t = 0..k: a link started in x found off, on
+    found = [(transient_prob(dyn, x, 0, ts), transient_prob(dyn, x, 1, ts)) for x in (0, 1)]
+    g = np.zeros((1, k + 1))
+    g[0, 0] = 1.0
     for xi, ld in zip(path.x, path.lengths):
-        f1g = link_law(path.model, dyn, ld).apply(np.stack((g, g * beta_pows)))
-        f0g = gy_law.apply(f1g)
-        chi = (1 - xi) * pi1 - xi * pi0
-        # phi g = pi1 F_1 g + pi0 G_Y F_1 g;  psi (g o beta) = (G_Y - 1) F_1 (g o beta)
-        g = pi1 * f1g[0] + pi0 * f0g[0] + chi * (f0g[1] - f1g[1])
-    return TruncatedPmf.from_coeffs(g)
+        off, on = found[xi]
+        start = gy_law.apply(g * off)  # the time the packet starts to cross link i:
+        start += g * on  # after G_Y's wait, or at once
+        g = link_law(path.model, dyn, ld).apply(start)
+    return TruncatedPmf.from_coeffs(g[0])

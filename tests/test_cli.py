@@ -115,6 +115,21 @@ sweep_step = 0.2
         with pytest.raises(ConfigurationError):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("edge = 2 0", "initial state must be 0 or 1"),
+            ("edge = 1 pmf 0:0.6 2:0.6", "probabilities must sum to 1"),
+            ("edge = 1", "needs an initial state and a length"),
+        ],
+    )
+    def test_bad_edge_names_its_line(self, bad, reason):
+        # the good edge before it is parsed once and reused, the bad one is not
+        text = BASIC + "edge = 1 pmf 0:0.5 2:0.5\n" * 4 + bad + "\nedge = 1 0\n"
+        lineno = text.splitlines().index(bad) + 1
+        with pytest.raises(ConfigurationError, match=rf"^line {lineno}: .*{reason}"):
+            parse_config_text(text)
+
     def test_edges_share_one_law_per_length_text(self):
         cfg = parse_config_text(BASIC + "edge = 1 pmf 0:0.5 2:0.5\nedge = 0 pmf  0:0.5 2:0.5\n")
         laws = [ld for _, ld in cfg.edges]

@@ -85,6 +85,24 @@ class TestTransientProb:
             for b in (0, 1):
                 assert transient_prob(dyn, a, b, 200) == pytest.approx(pi[b], abs=1e-9)
 
+    @pytest.mark.parametrize("q", [1.0, 0.999999])
+    def test_never_negative_near_q_one(self, q):
+        # pi1 + pi0 beta^t read -5.6e-17 to -8.7e-19 at 81 of these p for
+        # q = 1, t = 1, where the chain leaves the on state for certain.
+        times = np.arange(201)
+        for p in np.concatenate(([1e-9, 1e-6, 1e-3], np.linspace(0.0, 1.0, 301)[1:])):
+            dyn = EdgeDynamics(float(p), q)
+            m = np.array([[1 - p, p], [q, 1 - q]])
+            for a in (0, 1):
+                for b in (0, 1):
+                    got = transient_prob(dyn, a, b, times)
+                    assert np.all(got >= 0.0)
+                    assert all(transient_prob(dyn, a, b, int(t)) >= 0.0 for t in (1, 2, 3))
+                    want = [np.linalg.matrix_power(m, t)[a, b] for t in (1, 2, 3)]
+                    np.testing.assert_allclose(got[1:4], want, rtol=0, atol=1e-15)
+            if q == 1.0:
+                assert transient_prob(dyn, 1, 1, 1) == 0.0
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, -1)

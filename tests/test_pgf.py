@@ -15,7 +15,7 @@ from dynpath.errors import InfiniteExpectation, NumericalSingularity
 from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
-from dynpath.pgf import ett, ett_batch, link_law, pmf
+from dynpath.pgf import TruncatedPmf, ett, ett_batch, link_law, pmf
 from dynpath.pgf import _gy_law, _Iir
 
 ALL_LENGTHS = [
@@ -473,6 +473,51 @@ def test_ett_heterogeneous_paths_match_absorbing_chain(model, p, q, links):
                 engine(path)
         return
     assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
+
+
+def _edge_grid_paths():
+    """19 (bits, lengths) pairs: every bit pattern of n <= 3 links, and two unit links found on.
+
+    One link has length 0, 1 or 3; two links share the law {0: 1/2, 2: 1/2};
+    three links have lengths 3, 1 and 0.  At q = 1 the second of two unit
+    links found on is off for certain when the packet reaches it at t = 1:
+    P(1 -> 1, 1) = 0, which pi1 + pi0 beta gave as -8.7e-19 at p = 1e-3.
+    """
+    half = LengthDist.from_pairs([(0, 0.5), (2, 0.5)])
+    for x in itertools.product((0, 1), repeat=1):
+        for d in (0, 1, 3):
+            yield x, (LengthDist.constant(d),)
+    for x in itertools.product((0, 1), repeat=2):
+        yield x, (half, half)
+    for x in itertools.product((0, 1), repeat=3):
+        yield x, tuple(LengthDist.constant(d) for d in (3, 1, 0))
+    yield (1, 1), (LengthDist.soa(), LengthDist.soa())
+
+
+# beta at and near -1, p or q at 1 - 1e-3 or 1e-9..1e-6, and q = 1 beside p < 1
+@pytest.mark.parametrize("model", list(FailureModel))
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (1.0, 1.0), (1.0, 0.999), (0.999, 0.999), (0.999, 1e-9), (1e-9, 0.5),
+        (1e-8, 1e-8), (1e-6, 1e-6), (1e-3, 0.999), (1e-3, 1.0), (0.3, 1.0),
+    ],
+)
+def test_pmf_edge_grid_is_nonnegative_and_matches_forward_propagation(model, p, q):
+    dyn = EdgeDynamics(p, q)
+    for x, lengths in _edge_grid_paths():
+        path = PathSpec(x, lengths, dyn, model)
+        if _never_crossed(model, q, lengths):
+            continue
+        series = pmf(path, 60).coeffs
+        assert np.all(series >= 0.0)
+        assert np.max(np.abs(series - exact_pmf_dp(path, 60))) <= ABS_TOL_PMF
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1e-13, -0.5, np.nan, np.inf])
+def test_from_coeffs_rejects_negative_or_non_finite(bad):
+    with pytest.raises(NumericalSingularity):
+        TruncatedPmf.from_coeffs(np.array([0.5, bad, 0.25]))
 
 
 # At q = 1 resampled retransmission still crosses a link that has a length
