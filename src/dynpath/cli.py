@@ -57,12 +57,9 @@ _SCALAR_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration file, flags applied: dynamics, model, edges, command options."""
+    """Parsed configuration file, flags applied: the validated path and the command options."""
 
-    p: float
-    q: float
-    model: str
-    edges: tuple[tuple[int, LengthDist], ...]
+    path: PathSpec
     k: int | None = None
     samples: int = 100_000
     seed: int = 0
@@ -71,18 +68,10 @@ class RunConfig:
     sweep_to: float | None = None
     sweep_step: float | None = None
 
-    def path(self) -> PathSpec:
-        bits = tuple(b for b, _ in self.edges)
-        lengths = tuple(ld for _, ld in self.edges)
-        try:
-            model = FailureModel(self.model)
-        except ValueError:
-            names = ", ".join(m.value for m in FailureModel)
-            raise ConfigurationError(f"unknown model {self.model!r}; expected one of {names}")
-        try:
-            return PathSpec(bits, lengths, EdgeDynamics(self.p, self.q), model)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+    @property
+    def edges(self) -> tuple[tuple[int, LengthDist], ...]:
+        """The (initial bit, length law) pair of each link, in path order."""
+        return tuple(zip(self.path.x, self.path.lengths))
 
 
 def _parse_length(parts: list[str], rest: str) -> LengthDist:
@@ -157,9 +146,18 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigurationError(f"missing required key {required!r}")
     if not edges:
         raise ConfigurationError("configuration defines no edges")
-    cfg = RunConfig(edges=tuple(edges), **scalars)  # type: ignore[arg-type]
-    cfg.path()  # re-validate every module-level invariant on load
-    return cfg
+    p, q, name = (scalars.pop(key) for key in ("p", "q", "model"))
+    try:
+        model = FailureModel(name)
+    except ValueError:
+        names = ", ".join(m.value for m in FailureModel)
+        raise ConfigurationError(f"unknown model {name!r}; expected one of {names}")
+    bits, lengths = zip(*edges)
+    try:
+        path = PathSpec(bits, lengths, EdgeDynamics(p, q), model)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    return RunConfig(path, **scalars)  # type: ignore[arg-type]
 
 
 def load_config(path: str) -> RunConfig:
@@ -175,7 +173,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_ett(cfg: RunConfig, out) -> int:
-    total, per_node = ett(cfg.path())
+    total, per_node = ett(cfg.path)
     out.write(f"ett = {_fmt(total)}\n")
     for i in range(1, len(per_node)):
         out.write(f"arrival_{i} = {_fmt(per_node[i])}\n")
@@ -183,7 +181,7 @@ def cmd_ett(cfg: RunConfig, out) -> int:
 
 
 def cmd_pmf(cfg: RunConfig, fmt: str, out) -> int:
-    result = pmf(cfg.path(), cfg.k)
+    result = pmf(cfg.path, cfg.k)
     if fmt == "csv":
         out.write("t,prob\n")
         for t, pr in enumerate(result.coeffs):
@@ -199,7 +197,7 @@ def cmd_pmf(cfg: RunConfig, fmt: str, out) -> int:
 def cmd_simulate(cfg: RunConfig, hist_path: str, out) -> int:
     from .oracle import mc_estimate  # the other commands need neither oracle nor its imports
 
-    result = mc_estimate(cfg.path(), cfg.samples, cfg.seed)
+    result = mc_estimate(cfg.path, cfg.samples, cfg.seed)
     try:
         with open(hist_path, "w", encoding="utf-8") as fh:
             fh.write("t,count\n")
@@ -263,7 +261,7 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
     values = _sweep_values(start, stop, step)
     results = []
     if values:
-        base = cfg.path()
+        base = cfg.path
         paths = [replace(base, dynamics=replace(base.dynamics, **{param: value})) for value in values]
         results = ett_batch(paths)[:, -1].tolist()
     out.write("param,value,ett\n")

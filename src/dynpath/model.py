@@ -227,7 +227,9 @@ def det_instances(bits, lengths) -> tuple[np.ndarray, np.ndarray, bool]:
 def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int | np.ndarray) -> float | np.ndarray:
     """Probability the link is in state ``b`` after ``t`` slots, starting in ``a``.
 
-    ``t`` is an integer or an integer ndarray; the result has its shape.
+    ``t`` is an integer or an integer ndarray; the result has its shape.  A
+    scalar is evaluated as a one-element array, so it gives the same bits
+    as that ``t`` inside an array.
     Uses the spectral closed forms of the two-state chain,
     P(1->0, t) = pi0 (1 - beta^t), P(1->1, t) = pi1 + pi0 beta^t,
     P(0->1, t) = pi1 (1 - beta^t), P(0->0, t) = pi0 + pi1 beta^t.
@@ -238,15 +240,18 @@ def transient_prob(dyn: EdgeDynamics, a: int, b: int, t: int | np.ndarray) -> fl
     P(a->a, t) = (1 - l) + pi_{1-a} |beta| (1 - beta^(t-1)) for t >= 1,
     which is exactly 0 where the chain cannot stay (l = 1 at t = 1).
     """
-    if np.any(np.asarray(t) < 0):
+    ts = np.atleast_1d(t)
+    if np.any(ts < 0):
         raise ValueError(f"t must be nonnegative, got {t}")
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("states must be 0 or 1")
     beta = dyn.beta
     stay_pi, other = (dyn.pi1, dyn.pi0) if a == 1 else (dyn.pi0, dyn.pi1)
     if a != b or beta >= 0.0:
-        bt = beta**t  # an integer power keeps the sign of a negative beta; |beta^t| <= 1
-        return other * (1.0 - bt) if a != b else stay_pi + other * bt
-    leave = dyn.q if a == 1 else dyn.p
-    stay = (1.0 - leave) - other * beta * (1.0 - beta ** np.maximum(t - 1, 0))
-    return np.where(np.asarray(t) == 0, 1.0, stay)[()]
+        bt = beta**ts  # an integer power keeps the sign of a negative beta; |beta^t| <= 1
+        out = other * (1.0 - bt) if a != b else stay_pi + other * bt
+    else:
+        leave = dyn.q if a == 1 else dyn.p
+        stay = (1.0 - leave) - other * beta * (1.0 - beta ** np.maximum(ts - 1, 0))
+        out = np.where(ts == 0, 1.0, stay)
+    return out if np.ndim(t) else float(out[0])

@@ -15,16 +15,16 @@ at powers of beta:
 
 with phi_i = pi0 F_{i,0} + pi1 F_{i,1}, psi_i = F_{i,0} - F_{i,1} and
 chi_i = pi1 (1 - x_i) - pi0 x_i.  Expected traversal times follow from
-the derivatives at z = 1 and need only G_{i-1}(beta), read from a
-triangular table of values G_i(beta^k) in which row i keeps the columns
-later rows read.  The table ends early: |G_{i-1}(beta)| <= |beta|^T_min(i),
-with T_min(i) the sum of the shortest lengths of the first i links, so the
-fill stops at the row R past which those terms weigh at most
-eps T_min(n) <= eps ETT (eps = 2^-54), and costs O(n + R^2).  R is about
-K / (mean shortest length) with K = ceil(log eps / log|beta|); it stays
-near n when |beta| = 1 or most shortest lengths are 0, and the fill is
-then O(n^2).  ``ett_batch`` fills one table for many paths that share
-their lengths and model.
+the derivatives at z = 1 and need only G_{i-1}(beta), read from one
+buffer of values G_i(beta^k) that each link overwrites in place, keeping
+only the columns later links read.  The fill ends early: |G_{i-1}(beta)|
+<= |beta|^T_min(i), with T_min(i) the sum of the shortest lengths of the
+first i links, so it stops at the link R past which those terms weigh at
+most eps T_min(n) <= eps ETT (eps = 2^-54), and costs O(n + R^2).  R is
+about K / (mean shortest length) with K = ceil(log eps / log|beta|); it
+stays near n when |beta| = 1 or most shortest lengths are 0, and the fill
+is then O(n^2).  ``ett_batch`` fills one buffer for many paths that share
+their lengths and model, one row per path.
 
 The latency distribution does not use the beta form.  That would carry
 the series G_{i-1}(beta z) beside G_{i-1}(z) and add it with the signed
@@ -43,17 +43,17 @@ nonnegative, so nothing cancels.
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
 polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  The
-same law gives F_1's values at powers of beta, its slope at z = 1 (the
-mean delay) and, for the latency distribution, multiplies truncated
-series by F_1 as a linear recurrence, O(k) per stage.  A recurrence of
-order r runs in blocks of B = 64 coefficients: one B x B Toeplitz product
-per block, then a doubling scan over blocks (Kogge & Stone 1973) hands
-each block the state of r outputs the blocks before it leave, in
-ceil(log2(k/B)) vectorised steps of r x r products.  A recurrence with
-nonnegative coefficients, scan included, adds and never cancels, so
-rounding error stays relative to the coefficients it produces; one common
-denominator per law would not (expanding (1 - (1-p) z)^m amplifies
-rounding by about p^-m).
+same law is read three ways: F_1's values at powers of beta, its slope at
+z = 1 (the mean delay) and, for the latency distribution, the product of
+one truncated series with F_1 as a linear recurrence, O(k) per stage.  A
+recurrence of order r runs in blocks of B = 64 coefficients: one B x B
+Toeplitz product per block, then a doubling scan over blocks (Kogge &
+Stone 1973) hands each block the state of r outputs the blocks before it
+leave, in ceil(log2(k/B)) vectorised steps of r x r products.  A
+recurrence with nonnegative coefficients, scan included, adds and never
+cancels, so rounding error stays relative to the coefficients it
+produces; one common denominator per law would not (expanding
+(1 - (1-p) z)^m amplifies rounding by about p^-m).
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class LinkLaw:
 
     Every law has ``value(z)``, its values on an ndarray of points;
     ``at_one()``, its value and slope at z = 1; and ``apply(x)``, which
-    multiplies each row of ``x``, a truncated power series, by it.
+    multiplies ``x``, one truncated power series as a 1-D array, by it and
+    returns the product as a new array of the same length.
     """
 
 
@@ -111,8 +112,8 @@ class _Z(LinkLaw):
 
     def apply(self, x):
         out = np.empty_like(x)
-        out[:, 0] = 0.0
-        out[:, 1:] = x[:, :-1]
+        out[0] = 0.0
+        out[1:] = x[:-1]
         return out
 
 
@@ -215,20 +216,20 @@ class _Iir(LinkLaw):
     def apply(self, x):
         toeplitz, carry = self._blocks
         width, r = carry.shape
-        rows, n = x.shape
+        n = x.size
         nb = -(-n // width)
-        padded = np.zeros((rows, nb * width))
-        padded[:, :n] = x
-        y = (padded.reshape(rows * nb, width) @ toeplitz.T).reshape(rows, nb, width)
+        padded = np.zeros(nb * width)
+        padded[:n] = x
+        y = padded.reshape(nb, width) @ toeplitz.T
         if nb > 1:
             # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
             # A^i u_{b-i} over i < 2d.  The last block's state is never read.
-            s = y[:, :-1, -r:].copy()
+            s = y[:-1, -r:].copy()
             for j, power in enumerate(self._state_powers(carry[-r:], (nb - 2).bit_length())):
                 d = 1 << j
-                s[:, d:] += s[:, :-d] @ power.T
-            y[:, 1:] += s @ carry.T
-        return y.reshape(rows, nb * width)[:, :n]
+                s[d:] += s[:-d] @ power.T
+            y[1:] += s @ carry.T
+        return y.reshape(nb * width)[:n]
 
 
 class _Sum(LinkLaw):
@@ -281,7 +282,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
     return _Sum((), (_Poly(pze), _Iir(c, dyn.p * success)))
 
 
-# _fill reads each (length, dynamics) law once per fill, and pmf once per link: one build while cached.
+# ett_batch reads each (length, dynamics) law once per fill, and pmf once per link: one build while cached.
 @lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
@@ -289,7 +290,9 @@ def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> Link
     q = dyn.q
     top = length.max_value
     atoms = list(zip(length.values, length.probs))
-    if model is FailureModel.CANT_START:
+    if model is FailureModel.CANT_START or (model is FailureModel.RESUME and top <= 1):
+        # A resumed crossing of at most one slot has no seam for an outage to
+        # interrupt, so it crosses as a can't-start one does.
         b = [0.0] * (top + 1)
         for v, pr in atoms:
             b[v] = pr
@@ -298,8 +301,6 @@ def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> Link
         # Crossing needs d cumulative on-slots; each of the d-1 seams is a
         # (1-q) pass-through or a q-weighted geometric outage, so
         # F_1 = pr_0 + z P(w) with w = (1-q) z + q z G_Y and P(w) = sum pr_v w^(v-1).
-        if top == 0:
-            return _Poly((1.0,))
         a = [0.0] * top
         terms = []
         for v, pr in atoms:
@@ -334,16 +335,6 @@ def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> Link
     return _Sum((_Poly(n_poly), _retry(dyn, m_poly, math.fsum(n_poly))))
 
 
-def _beta_powers(beta: float, count: int) -> np.ndarray:
-    # Iterated multiplication; beta may be negative, so no pow/log tricks.
-    out = np.empty(count)
-    acc = 1.0
-    for k in range(count):
-        out[k] = acc
-        acc *= beta
-    return out
-
-
 def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray) -> np.ndarray:
     """Per path, the first row R whose tail of the table weighs at most eps * T_min(n).
 
@@ -360,20 +351,33 @@ def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray) ->
     return (tails > _EPS * t_min[-1]).sum(axis=0)  # tails never fall as k grows
 
 
-@np.errstate(over="ignore", invalid="ignore")  # ett_batch checks what comes out
-def _fill(paths: list[PathSpec]) -> np.ndarray:
-    """Fill the table for paths sharing n, model and lengths; returns the (m, n+1) arrivals.
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked to be finite at the end
+def ett_batch(paths) -> np.ndarray:
+    """Per-node expected arrival times for m paths in one table fill.
 
-    Row i of the table holds G_i(beta^k) for the columns k = 1..R-1-i that
-    later rows still read, R being the path's ``_stop_rows`` row; from row R
-    on G_{i-1}(beta) counts as 0.  One loop over the (length, dynamics)
-    pairs fetches each pair's law once and reads from it gamma1 = F_1'(1),
-    F_1 at the powers of beta and F_0 = G_Y F_1 there; the table never
-    needs gamma0 = gamma1 + 1/p itself.  The batch fills as many rows as its
-    longest path needs and zeroes each path's rows past its own R, so a
-    path's row holds the same values, bit for bit, as when filled alone.
+    The paths must share n, failure model and per-link lengths; their
+    dynamics and initial bits may differ.  Returns an (m, n+1) array whose
+    row j is ``ett(paths[j])[1]``, bit for bit, as when filled alone.
+
+    Only the latest row of the table G_i(beta^k) is kept, in one (m, R)
+    buffer g with a row per path and column k-1 at beta^k: link i reads
+    G_{i-1}(beta) from column 0, then overwrites in place the R-1-i columns
+    later links read.  R is the ``_stop_rows`` row of the path that needs
+    most; links past a path's own R count its G_{i-1}(beta) as 0.  The fill
+    costs O(n + R^2), R being about K / (mean shortest length) with K =
+    ceil(log eps / log|beta|) (eps = 2^-54), or near n when |beta| = 1 or
+    most shortest lengths are 0.  Each (length, dynamics) law is fetched
+    once and gives gamma1 = F_1'(1) and F_1 at the powers of beta, and F_0 =
+    G_Y F_1 there with G_Y evaluated once per dynamics; gamma0 = gamma1 +
+    1/p is never formed.
     """
+    paths = list(paths)
+    if not paths:
+        raise ValueError("ett_batch needs at least one path")
     first = paths[0]
+    for path in paths[1:]:
+        if path.n != first.n or path.model is not first.model or path.lengths != first.lengths:
+            raise ValueError("paths in one batch must share n, model and per-link lengths")
     n, model = first.n, first.model
     dyn_index: dict[EdgeDynamics, int] = {}
     di = [dyn_index.setdefault(path.dynamics, len(dyn_index)) for path in paths]
@@ -394,28 +398,28 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     gam1 = np.empty((len(len_index), len(dyn_index)))
     coef = np.empty((2, len(len_index), len(dyn_index), max(rows - 1, 0)))
     for d, dyn in enumerate(dyn_index):
-        zs = _beta_powers(dyn.beta, rows)[1:]
+        zs = np.cumprod(np.full(max(rows - 1, 0), dyn.beta))  # beta^1 .. beta^(R-1), each the last times beta
+        gy = _gy_law(dyn).value(zs)
         for l, ld in enumerate(len_index):
             law = link_law(model, dyn, ld)
             gam1[l, d] = law.at_one()[1]
             f1 = law.value(zs)  # a constant law gives a float
-            f0 = _gy_law(dyn).value(zs) * f1
+            f0 = gy * f1
             coef[0, l, d] = dyn.pi0 * f0 + dyn.pi1 * f1
             coef[1, l, d] = f0 - f1
     if len(dyn_index) > 1:
         gam1, coef = gam1[:, di], coef[:, :, di]
     coef_g, coef_shift = list(coef[0]), list(coef[1])
 
-    bufs = np.ones((2, m, rows))  # G_0 = 1
+    g = np.ones((m, rows))  # G_0 = 1
     col1 = np.zeros((n, m))
     for i, l in enumerate(li[:rows]):
-        src, dst = bufs[i & 1], bufs[1 - (i & 1)]
         c = rows - 1 - i  # the columns later rows still read
-        col1[i] = src[:, 0]
+        col1[i] = g[:, 0]
         shift = chi[i, :, None] * coef_shift[l][:, :c]
-        shift *= src[:, 1 : c + 1]
-        np.multiply(coef_g[l][:, :c], src[:, :c], out=dst[:, :c])
-        dst[:, :c] += shift
+        shift *= g[:, 1 : c + 1]
+        g[:, :c] *= coef_g[l][:, :c]
+        g[:, :c] += shift
     if rows > stop.min():
         # a path's rows past its own stop were filled for paths that stop later
         col1 = np.where(np.arange(n)[:, None] >= stop, 0.0, col1)
@@ -430,30 +434,6 @@ def _fill(paths: list[PathSpec]) -> np.ndarray:
     # cumsum adds in order along its axis, so a path's sums do not depend
     # on the batch around it.
     per_node[:, 1:] = terms.cumsum(axis=0).T
-    return per_node
-
-
-def ett_batch(paths) -> np.ndarray:
-    """Per-node expected arrival times for m paths in one table fill.
-
-    The paths must share n, failure model and per-link lengths; their
-    dynamics and initial bits may differ.  Returns an (m, n+1) array whose
-    row j is ``ett(paths[j])[1]``, bit for bit.  Each path keeps the R rows
-    of the table before |beta|^T_min has decayed (``_stop_rows``), and row
-    i keeps the R-1-i columns later rows read, so the fill costs O(n + R^2)
-    with R about K / (mean shortest length), K = ceil(log eps / log|beta|)
-    (eps = 2^-54).  The batch fills as many rows as its longest path needs.
-    |beta| = 1, or shortest lengths that are mostly 0, keep R near n and
-    cost O(n^2).
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("ett_batch needs at least one path")
-    first = paths[0]
-    for path in paths[1:]:
-        if path.n != first.n or path.model is not first.model or path.lengths != first.lengths:
-            raise ValueError("paths in one batch must share n, model and per-link lengths")
-    per_node = _fill(paths)
     if not np.all(np.isfinite(per_node)):
         raise NumericalSingularity("an expected arrival time is not finite")
     return per_node
@@ -516,11 +496,11 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     ts = np.arange(k + 1)
     # found[x] = (P(x -> 0, t), P(x -> 1, t)) for t = 0..k: a link started in x found off, on
     found = [(transient_prob(dyn, x, 0, ts), transient_prob(dyn, x, 1, ts)) for x in (0, 1)]
-    g = np.zeros((1, k + 1))
-    g[0, 0] = 1.0
+    g = np.zeros(k + 1)
+    g[0] = 1.0
     for xi, ld in zip(path.x, path.lengths):
         off, on = found[xi]
         start = gy_law.apply(g * off)  # the time the packet starts to cross link i:
         start += g * on  # after G_Y's wait, or at once
         g = link_law(path.model, dyn, ld).apply(start)
-    return TruncatedPmf.from_coeffs(g[0])
+    return TruncatedPmf.from_coeffs(g)

@@ -14,7 +14,7 @@ import dynpath
 import dynpath.validation as validation
 from dynpath.cli import RunConfig, _sweep_values, main, parse_config_text
 from dynpath.errors import ConfigurationError
-from dynpath.model import LengthDist
+from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec
 import test_acceptance
 
 BASIC = """
@@ -71,10 +71,12 @@ sweep_to = 0.9
 sweep_step = 0.2
 """
         assert parse_config_text(text) == RunConfig(
-            p=0.35,
-            q=0.15,
-            model="retransmit_resampled",
-            edges=((1, LengthDist.constant(2)), (0, LengthDist.from_pairs([(0, 0.5), (2, 0.5)]))),
+            path=PathSpec(
+                (1, 0),
+                (LengthDist.constant(2), LengthDist.from_pairs([(0, 0.5), (2, 0.5)])),
+                EdgeDynamics(0.35, 0.15),
+                FailureModel.RETRANSMIT_RESAMPLED,
+            ),
             k=25,
             samples=1000,
             seed=7,
@@ -86,9 +88,16 @@ sweep_step = 0.2
 
     def test_parses_basic(self):
         cfg = parse_config_text(BASIC)
-        assert cfg.p == 0.5 and cfg.q == 0.5
-        assert cfg.model == "cant_start"
+        assert cfg.path.dynamics == EdgeDynamics(0.5, 0.5)
+        assert cfg.path.model is FailureModel.CANT_START
+        assert cfg.path.x == (1, 0)
+        assert cfg.path.lengths == (LengthDist.constant(0), LengthDist.constant(0))
         assert cfg.edges == ((1, LengthDist.constant(0)), (0, LengthDist.constant(0)))
+
+    def test_unknown_model_names_the_models(self):
+        names = "cant_start, resume, retransmit_identical, retransmit_resampled"
+        with pytest.raises(ConfigurationError, match=rf"^unknown model 'warp'; expected one of {names}$"):
+            parse_config_text("p = 0.5\nq = 0.5\nmodel = warp\nedge = 1 0\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -132,7 +141,7 @@ sweep_step = 0.2
 
     def test_edges_share_one_law_per_length_text(self):
         cfg = parse_config_text(BASIC + "edge = 1 pmf 0:0.5 2:0.5\nedge = 0 pmf  0:0.5 2:0.5\n")
-        laws = [ld for _, ld in cfg.edges]
+        laws = cfg.path.lengths
         assert laws[0] is laws[1]
         assert laws[2] is laws[3]
 

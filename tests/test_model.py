@@ -103,6 +103,20 @@ class TestTransientProb:
             if q == 1.0:
                 assert transient_prob(dyn, 1, 1, 1) == 0.0
 
+    def test_scalar_time_matches_array_bit_for_bit(self):
+        # Python's pow and numpy's power of beta differed in the last bit,
+        # e.g. p = 0.0134, q = 1e-9, a = b = 0, t = 3.
+        rng = np.random.default_rng(15)
+        pqs = [(0.0134, 1e-9), (1e-9, 0.5), (1.0, 1.0), (0.2, 0.0), (0.999, 1.0)]
+        pqs += [tuple(map(float, rng.uniform(1e-3, 1.0, 2))) for _ in range(55)]
+        times = np.arange(100)
+        for (p, q), a, b in itertools.product(pqs, (0, 1), (0, 1)):
+            dyn = EdgeDynamics(p, q)
+            want = transient_prob(dyn, a, b, times)
+            got = [transient_prob(dyn, a, b, t) for t in times.tolist()]
+            assert all(isinstance(g, float) for g in got)
+            assert np.array_equal(got, want), (p, q, a, b)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, -1)

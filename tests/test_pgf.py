@@ -281,6 +281,15 @@ class TestEtt:
         assert total == 2.4999999999999997e150
         assert per_node.tolist() == [0.0, 1.4999999999999999e150, 2.4999999999999997e150]
 
+    @pytest.mark.parametrize("model", list(FailureModel))
+    def test_one_slot_link_at_vanishing_p(self, model):
+        # A crossing of at most one slot has no seam for an outage to
+        # interrupt, so no law reads G_Y, whose slope at 1 divides by
+        # p^2 = 0 here: a link found on is crossed at once or in one slot.
+        dyn = EdgeDynamics(1e-320, 0.5)
+        assert ett(PathSpec((1,), (LengthDist.soa(),), dyn, model))[0] == 1.0
+        assert ett(PathSpec((1,), (LengthDist.from_pairs([(0, 0.5), (1, 0.5)]),), dyn, model))[0] == 0.5
+
 
 class TestPmf:
     def test_instant_traversal(self):
@@ -399,10 +408,33 @@ def test_iir_apply_matches_plain_recurrence(order, slack):
     x[:, :3] = 0.0  # leading zeros must stay exactly zero
     want = _plain_recurrence(law.c, x)
     for n in (1, 63, 64, 65, longest, 129):
-        got = law.apply(x[:, :n])
-        assert got.shape == (2, n)
-        assert np.all(got >= 0.0)
-        assert np.all(np.abs(got - want[:, :n]) <= 1e-12 * want[:, :n])
+        for row, want_row in zip(x, want):
+            got = law.apply(row[:n])
+            assert got.shape == (n,)
+            assert np.all(got >= 0.0)
+            assert np.all(np.abs(got - want_row[:n]) <= 1e-12 * want_row[:n])
+
+
+def test_law_readers_agree():
+    # link_law writes each law once; apply, value and at_one read it three
+    # ways.  The series of a unit impulse, where it holds all but 1e-12 of
+    # the mass, must give value's numbers and at_one's slope.
+    k = 3000
+    impulse = np.zeros(k + 1)
+    impulse[0] = 1.0
+    zs = np.array([-0.5, 0.1, 0.3, 0.5, 0.9])
+    pqs = [(0.5, 0.5), (0.3, 0.2), (0.9, 0.05), (0.05, 0.3), (0.2, 0.9)]
+    kept = 0
+    for model, (p, q), length in itertools.product(FailureModel, pqs, ALL_LENGTHS[1:]):
+        law = link_law(model, EdgeDynamics(p, q), length)
+        series = law.apply(impulse)
+        if 1.0 - math.fsum(series.tolist()) > 1e-12:
+            continue
+        kept += 1
+        at_zs = np.polynomial.polynomial.polyval(zs, series)
+        np.testing.assert_allclose(at_zs, law.value(zs), rtol=1e-12, atol=0)
+        assert math.fsum((np.arange(k + 1) * series).tolist()) == pytest.approx(law.at_one()[1], rel=1e-12)
+    assert kept >= 80
 
 
 # p and q with extra weight at and near both ends of their ranges
@@ -679,6 +711,6 @@ def test_mixed_beta_batch_stops_each_path_at_its_own_row(monkeypatch):
     # batch row must still be that path's own truncated fill.
     monkeypatch.setattr(pgf_module, "_EPS", 1e-6)
     assert len(set(_stop_rows(paths).tolist())) == len(paths)
-    per_node = pgf_module._fill(paths)
+    per_node = ett_batch(paths)
     for j, path in enumerate(paths):
-        assert np.array_equal(per_node[j], pgf_module._fill([path])[0])
+        assert np.array_equal(per_node[j], ett_batch([path])[0])
