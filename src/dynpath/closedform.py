@@ -3,10 +3,10 @@
 These cover three corners where the general machinery collapses to pencil
 and paper: deterministic alternating links (p = q = 1), memoryless links
 (q = 1 - p, every slot an independent Bernoulli(p) coin), and links that
-start in the stationary distribution.  They serve both as fast paths and
-as cross-checks for the generating-function engine.  The two alternating
-forms take one instance as (n,) bits and lengths, or m instances as
-(m, n) arrays, and are checked against ``oracle.det_slot_time``.
+start in the stationary distribution.  They serve as cross-checks for the
+generating-function engine.  The two alternating forms take one instance
+as (n,) bits and lengths, or m instances as (m, n) arrays, and are
+checked against ``oracle.det_slot_time``.
 """
 
 from __future__ import annotations
@@ -68,23 +68,6 @@ def _comb0(a: int, k: int) -> int:
     if k < 0 or a < 0 or k > a:
         return 0
     return math.comb(a, k)
-
-
-def bernoulli_pmf(p: float, n: int, D: int, t: int) -> float:
-    """Latency pmf with memoryless links and constant lengths totalling D.
-
-    The t - D waiting slots distribute over the n nodes like identical
-    balls into bins: C(t-D+n-1, t-D) patterns, each of probability
-    p^n (1-p)^(t-D).  Zero for t < D.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must satisfy 0 < p <= 1, got {p}")
-    if n < 1 or D < 0:
-        raise ValueError("need n >= 1 and D >= 0")
-    if t < D:
-        return 0.0
-    w = t - D
-    return _comb0(w + n - 1, w) * p**n * (1.0 - p) ** w
 
 
 def steady_ett(dyn: EdgeDynamics, lengths) -> float:

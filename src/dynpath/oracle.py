@@ -11,8 +11,9 @@ or the closed forms:
   slot.
 * ``exact_ett_dp`` / ``exact_pmf_dp`` build the absorbing Markov chain
   over joint (packet position, crossing progress, link states) states,
-  solving for expected absorption times, each to a small relative error,
-  and propagating mass forward for the exact latency distribution.
+  solving for expected absorption times, each to a small relative error
+  and raising for an initial configuration whose own time diverges, and
+  propagating mass forward for the exact latency distribution.
 * ``det_slot_time`` walks the deterministic p = q = 1 setting slot by
   slot, for one instance or an (m, n) array of them, as the reference for
   the closed forms of that corner.
@@ -176,19 +177,38 @@ def mc_estimate(path: PathSpec, samples: int, seed: int) -> SimResult:
 # --------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a >= 0, where b's non-finite entries make inf only the rows that weigh them."""
+    finite = np.isfinite(b)
+    if finite.all():
+        return a @ b
+    out = a @ np.where(finite, b, 0.0)
+    out[a @ ~finite > 0.0] = np.inf  # a >= 0, so a sum is positive iff one of its terms is
+    return out
+
+
 def _gth(a: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve (I - A) X = R for A >= 0 with row sums 1 - s, s >= 0 and R >= 0.
 
     Grassmann-Taksar-Heyman elimination, last half first, never subtracts, so
-    each component has high relative accuracy (Alfa, Xue & Ye, 2002).
+    each component has high relative accuracy (Alfa, Xue & Ye, 2002).  A row
+    that cannot reach a diverging one stays finite (``_dot``).
     """
     if s.size <= 1:
         return r / s[:, None]
     f = s.size // 2
     x = _gth(a[f:, f:], s[f:] + a[f:, :f].sum(axis=1), np.hstack([a[f:, :f], s[f:, None], r[f:]]))
-    t = a[:f, f:] @ x
+    t = _dot(a[:f, f:], x)
     h = _gth(a[:f, :f] + t[:, :f], s[:f] + t[:, f], r[:f] + t[:, f + 1 :])
-    return np.vstack([h, x[:, :f] @ h + x[:, f + 1 :]])
+    return np.vstack([h, _dot(x[:, :f], h) + x[:, f + 1 :]])
+
+
+def _merge(acc: dict, sub: tuple, w: float) -> float:
+    """Add w times the persisted states of ``sub`` into ``acc``; return w times its absorbed mass."""
+    states, absorbed = sub
+    for s, pr in states:
+        acc[s] = acc.get(s, 0.0) + w * pr
+    return w * absorbed
 
 
 class _AbsorbingChain:
@@ -218,47 +238,36 @@ class _AbsorbingChain:
 
     # -- state resolution (instantaneous transitions within a slot) --
 
-    def _resolve(self, kind: str, node: int, real: int | None, cfg: int):
-        """Distribution over persisted states plus absorbed mass for one raw state."""
-        key = (kind, node, real, cfg)
+    def _resolve(self, arriving: bool, node: int, real: int | None, cfg: int):
+        """Persisted states plus absorbed mass once the packet observes link ``node``.
+
+        Off, the packet waits; on, it crosses the realized length ``real`` or,
+        with none, one drawn from the law, a length 0 within the slot.
+        Identical retransmission draws once, on arrival.
+        """
+        key = (arriving, node, real, cfg)
         hit = self._resolve_memo.get(key)
         if hit is not None:
             return hit
         acc: dict[tuple, float] = {}
         absorbed = 0.0
-
-        def add(sub, w):
-            nonlocal absorbed
-            states, ab = sub
-            absorbed += w * ab
-            for s, pr in states:
-                acc[s] = acc.get(s, 0.0) + w * pr
-
         if node == self.n:
-            result = ((), 1.0)
-        elif kind == "arrive" and self.model is FailureModel.RETRANSMIT_IDENTICAL:
+            absorbed = 1.0
+        elif arriving and self.model is FailureModel.RETRANSMIT_IDENTICAL:
             ld = self.lengths[node]
             for v, pr in zip(ld.values, ld.probs):
-                add(self._resolve("obs", node, v, cfg), pr)
-            result = (tuple(acc.items()), absorbed)
+                absorbed += _merge(acc, self._resolve(False, node, v, cfg), pr)
+        elif cfg & 1 == 0:
+            acc[(node, 0, real, cfg)] = 1.0
         else:
-            bit = cfg & 1
-            if bit == 0:
-                result = ((((node, 0, real, cfg), 1.0),), 0.0)
-            elif self.model is FailureModel.RETRANSMIT_IDENTICAL:
-                if real == 0:
-                    result = self._resolve("arrive", node + 1, None, cfg >> 1)
+            ld = self.lengths[node]
+            for v, pr in ((real, 1.0),) if real is not None else zip(ld.values, ld.probs):
+                if v == 0:
+                    sub = self._resolve(True, node + 1, None, cfg >> 1)
                 else:
-                    result = ((((node, 0, real, cfg), 1.0),), 0.0)
-            else:
-                ld = self.lengths[node]
-                for v, pr in zip(ld.values, ld.probs):
-                    if v == 0:
-                        add(self._resolve("arrive", node + 1, None, cfg >> 1), pr)
-                    else:
-                        s = (node, 0, v, cfg)
-                        acc[s] = acc.get(s, 0.0) + pr
-                result = (tuple(acc.items()), absorbed)
+                    sub = ((((node, 0, v, cfg), 1.0),), 0.0)
+                absorbed += _merge(acc, sub, pr)
+        result = (tuple(acc.items()), absorbed)
         self._resolve_memo[key] = result
         return result
 
@@ -270,19 +279,14 @@ class _AbsorbingChain:
         bit = cfg & 1
         crossing = prog >= 1 or (bit == 1 and real is not None)
         model = self.model
-        if crossing:
-            if model is FailureModel.CANT_START:
-                prog2, real2 = prog + 1, real
-            elif model is FailureModel.RESUME:
-                prog2, real2 = prog + (1 if bit else 0), real
-            elif bit:
-                prog2, real2 = prog + 1, real
-            elif model is FailureModel.RETRANSMIT_IDENTICAL:
-                prog2, real2 = -1, real  # attempt failed, same length next try
-            else:
-                prog2, real2 = -1, None  # attempt failed, fresh draw next try
+        if crossing and (bit or model is FailureModel.CANT_START):
+            prog2, real2 = prog + 1, real
+        elif crossing and model is FailureModel.RESUME:
+            prog2, real2 = prog, real  # an outage pauses the crossing
+        elif crossing and model is FailureModel.RETRANSMIT_RESAMPLED:
+            prog2, real2 = -1, None  # attempt failed, fresh draw next try
         else:
-            prog2, real2 = -1, real  # plain waiting (real kept only for identical)
+            prog2, real2 = -1, real  # waiting, or identical's failed attempt keeps its length
 
         out: dict[tuple, float] = {}
         absorbed = 0.0
@@ -292,15 +296,12 @@ class _AbsorbingChain:
             if w == 0.0:
                 continue
             if prog2 >= 0 and prog2 == real2:
-                sub = self._resolve("arrive", node + 1, None, cfg2 >> 1)
+                sub = self._resolve(True, node + 1, None, cfg2 >> 1)
             elif prog2 >= 0:
                 sub = ((((node, prog2, real2, cfg2), 1.0),), 0.0)
             else:
-                sub = self._resolve("obs", node, real2, cfg2)
-            states, ab = sub
-            absorbed += w * ab
-            for s, pr in states:
-                out[s] = out.get(s, 0.0) + w * pr
+                sub = self._resolve(False, node, real2, cfg2)
+            absorbed += _merge(out, sub, w)
         return out, absorbed
 
     # -- assembly --
@@ -320,7 +321,7 @@ class _AbsorbingChain:
             return idx
 
         for cfg in range(1 << n):
-            states, ab = self._resolve("arrive", 0, None, cfg)
+            states, ab = self._resolve(True, 0, None, cfg)
             self._init.append((states, ab))
             for s, _ in states:
                 intern(s)
@@ -355,8 +356,6 @@ class _AbsorbingChain:
                 s = self._absorb[idx] + np.bincount(leave, weights=vals[out], minlength=idx.size)
                 r = 1.0 + np.bincount(leave, weights=vals[out] * h[cols[out]], minlength=idx.size)
                 h[idx] = _gth(a, s, r[:, None])[:, 0]
-        if not np.all(np.isfinite(h)):
-            raise InfiniteExpectation("absorption-time system has no finite solution")
         return h
 
     def _config_int(self, x) -> int:
@@ -364,7 +363,10 @@ class _AbsorbingChain:
 
     def ett(self, x) -> float:
         states, _ = self._init[self._config_int(x)]
-        return math.fsum(pr * self._hitting[self._index[s]] for s, pr in states)
+        total = math.fsum(pr * self._hitting[self._index[s]] for s, pr in states)
+        if not math.isfinite(total):
+            raise InfiniteExpectation("absorption-time system has no finite solution")
+        return total
 
     def pmf(self, weights: dict[int, float], horizon: int) -> np.ndarray:
         out = np.zeros(horizon + 1)

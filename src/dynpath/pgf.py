@@ -46,14 +46,15 @@ polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  The
 same law is read three ways: F_1's values at powers of beta, its slope at
 z = 1 (the mean delay) and, for the latency distribution, the product of
 one truncated series with F_1 as a linear recurrence, O(k) per stage.  A
-recurrence of order r runs in blocks of B = 64 coefficients: one B x B
-Toeplitz product per block, then a doubling scan over blocks (Kogge &
-Stone 1973) hands each block the state of r outputs the blocks before it
-leave, in ceil(log2(k/B)) vectorised steps of r x r products.  A
-recurrence with nonnegative coefficients, scan included, adds and never
-cancels, so rounding error stays relative to the coefficients it
-produces; one common denominator per law would not (expanding
-(1 - (1-p) z)^m amplifies rounding by about p^-m).
+recurrence of order r runs in blocks of B = 64 coefficients, with one
+loop of it giving a block's Toeplitz map of its inputs and its carry of
+the r outputs the blocks before it leave; a doubling scan over blocks
+(Kogge & Stone 1973) hands each block that state in ceil(log2(k/B))
+vectorised steps of r x r products.  A recurrence with nonnegative
+coefficients, scan included, adds and never cancels, so rounding error
+stays relative to the coefficients it produces; one common denominator
+per law would not (expanding (1 - (1-p) z)^m amplifies rounding by about
+p^-m).
 """
 
 from __future__ import annotations
@@ -148,16 +149,17 @@ class _Iir(LinkLaw):
     Requires c[0] = 0, every c[j] >= 0 and ``slack`` = 1 - c(1) > 0 from a
     closed form; values use 1 - c(z) = slack + sum_j c[j] (1 - z^j), which
     does not cancel near z = 1.  Series are filtered in blocks of B =
-    max(_BLOCK, r) coefficients, r = len(c) - 1: one B x B lower-triangular
-    Toeplitz product of the impulse response per block, O(k B) in all.
-    Block b then needs the last r outputs of block b-1, its state s_{b-1},
-    and s_b = u_b + A s_{b-1} with u_b block b's own last r outputs and A
-    the r x r state map.  A doubling scan solves that recurrence: step j
-    adds A^(2^j) s_{b-2^j} to every s_b at once, so ceil(log2(k/B)) steps
-    of O(k/B) r x r products each replace a loop over the k/B blocks; the
-    law caches the powers A^(2^j) as longer series ask for them.  A, its
-    powers and the carry are nonnegative, so every addend is a nonnegative
-    multiple of the input and the scan never cancels.
+    max(_BLOCK, r) coefficients, r = len(c) - 1.  One loop of the
+    recurrence writes each output of a block from its inputs, a B x B
+    Toeplitz map (one product per block, O(k B) in all), and from the last
+    r outputs of block b-1, its state s_{b-1}, a B x r carry.  Then s_b =
+    u_b + A s_{b-1}, u_b being block b's own last r outputs and A the
+    carry's last r rows, the r x r state map.  A doubling scan solves that
+    recurrence: step j adds A^(2^j) s_{b-2^j} to every s_b at once, so
+    ceil(log2(k/B)) steps of O(k/B) r x r products each replace a loop over
+    the k/B blocks; the law caches the powers A^(2^j) as longer series ask
+    for them.  A, its powers and the carry are nonnegative, so every addend
+    is a nonnegative multiple of the input and the scan never cancels.
     """
 
     def __init__(self, c, slack: float):
@@ -189,19 +191,15 @@ class _Iir(LinkLaw):
         c = np.array(self.c)
         r = c.size - 1
         width = max(_BLOCK, r)
-        h = np.zeros(width)
-        h[0] = 1.0
-        for t in range(1, width):
-            j = min(r, t)
-            h[t] = np.dot(c[1 : j + 1], h[t - 1 :: -1][:j])
-        lag = np.subtract.outer(np.arange(width), np.arange(width))
-        toeplitz = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
-        # Input a block receives from the previous block's last r outputs
-        # s[0..r-1] = y_{s-r}, ..., y_{s-1}: e_i = sum_{l >= i} c[i + r - l] s[l].
-        inject = np.zeros((r, r))
-        for i in range(r):
-            inject[i, i:] = c[r:i:-1]
-        return toeplitz, toeplitz[:, :r] @ inject
+        # Row r + t writes y_t as a map from (the block's inputs x_0..x_{B-1},
+        # the previous block's last outputs y_{-r}..y_{-1}); rows 0..r-1 are
+        # those outputs themselves.
+        y = np.zeros((r + width, width + r))
+        y[:r, width:] = np.eye(r)
+        for t in range(width):
+            y[r + t] = c[r:0:-1] @ y[t : r + t]
+            y[r + t, t] += 1.0
+        return y[r:, :width], y[r:, width:]
 
     def _state_powers(self, a: np.ndarray, steps: int) -> tuple[np.ndarray, ...]:
         """a, a^2, a^4, ..., a^(2^(steps-1)) for the block state map a, grown on demand."""
@@ -221,14 +219,13 @@ class _Iir(LinkLaw):
         padded = np.zeros(nb * width)
         padded[:n] = x
         y = padded.reshape(nb, width) @ toeplitz.T
-        if nb > 1:
-            # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
-            # A^i u_{b-i} over i < 2d.  The last block's state is never read.
-            s = y[:-1, -r:].copy()
-            for j, power in enumerate(self._state_powers(carry[-r:], (nb - 2).bit_length())):
-                d = 1 << j
-                s[d:] += s[:-d] @ power.T
-            y[1:] += s @ carry.T
+        # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
+        # A^i u_{b-i} over i < 2d.  The last block's state is never read.
+        s = y[:-1, -r:].copy()
+        for j, power in enumerate(self._state_powers(carry[-r:], max(nb - 2, 0).bit_length())):
+            d = 1 << j
+            s[d:] += s[:-d] @ power.T
+        y[1:] += s @ carry.T
         return y.reshape(nb * width)[:n]
 
 
@@ -420,9 +417,8 @@ def ett_batch(paths) -> np.ndarray:
         shift *= g[:, 1 : c + 1]
         g[:, :c] *= coef_g[l][:, :c]
         g[:, :c] += shift
-    if rows > stop.min():
-        # a path's rows past its own stop were filled for paths that stop later
-        col1 = np.where(np.arange(n)[:, None] >= stop, 0.0, col1)
+    # a path's rows past its own stop were filled for paths that stop later
+    col1 = np.where(np.arange(n)[:, None] >= stop, 0.0, col1)
 
     # Link i contributes its state-averaged mean delay pi0 gamma0 + pi1 gamma1
     # plus (gamma0 - gamma1) chi_i G_{i-1}(beta), a correction that measures

@@ -178,6 +178,15 @@ class TestEttCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure") and err.count("\n") == 1
 
+    def test_vanishing_denominator_exits_3(self, tmp_path, capsys):
+        # beta = 1 - 2e-301 rounds to 1, so G_Y's denominator at beta is p = 1e-301, under the floor
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 1e-301\nq = 1e-301\nmodel = resume\nedge = 1 0\nedge = 1 2\n")
+        code, text = run_cli(["ett", "--config", str(cfg)])
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == "error: numerical failure: denominator vanished during PGF evaluation\n"
+
     def test_invalid_config_exits_1(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text(BASIC + "nonsense = 1\n")
@@ -229,6 +238,21 @@ class TestPmfCommand:
         assert float(fields["t_0"]) == 1.0
         assert float(fields["tail"]) == 0.0
 
+    @pytest.mark.parametrize(
+        "k,message",
+        [
+            ("0", "error: k must be >= 1, got 0\n"),
+            ("10000001", "error: k = 10000001 exceeds the coefficient budget 10000000\n"),
+        ],
+    )
+    def test_k_out_of_range_exits_1(self, tmp_path, capsys, k, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SINGLE_OFF_CUT)
+        code, text = run_cli(["pmf", "--config", str(cfg), "--k", k])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == message
+
 
 class TestSimulateCommand:
     def test_deterministic_and_writes_histogram(self, tmp_path):
@@ -262,6 +286,15 @@ class TestSimulateCommand:
         assert code == 0
         assert float(kv(text)["mean"]) == 1.0
         assert hist.read_text().strip().splitlines()[1] == "1,5000"
+
+    def test_one_sample_has_zero_stderr(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SINGLE_OFF_CUT)
+        hist = tmp_path / "h.csv"
+        code, text = run_cli(["simulate", "--config", str(cfg), "--samples", "1", "--seed", "3",
+                              "--histogram", str(hist)])
+        assert code == 0
+        assert kv(text)["stderr"] == "0"
 
     def test_divergent_exits_2_before_simulating(self, tmp_path):
         # q = 1 fails every attempt at length 2; the simulator would spin to its slot cap

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dynpath.closedform import (
-    bernoulli_pmf,
     det_model2_time,
     det_traversal_time,
     max_geom_ett,
@@ -113,17 +112,6 @@ class TestBernoulliModel:
         assert steady_ett(EdgeDynamics(0.25, 0.75), [LengthDist.cut()] * 3) == pytest.approx(9.0)
         lengths = [LengthDist.constant(2), LengthDist.from_pairs([(0, 0.5), (2, 0.5)])]
         assert steady_ett(EdgeDynamics(1.0, 0.0), lengths) == pytest.approx(3.0)
-
-    def test_pmf_examples(self):
-        assert bernoulli_pmf(0.5, 2, 0, 0) == pytest.approx(0.25)
-        assert bernoulli_pmf(0.5, 1, 0, 3) == pytest.approx(0.0625)
-        assert bernoulli_pmf(0.7, 3, 4, 3) == 0.0
-
-    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("n,big_d", [(1, 0), (2, 3), (4, 4)])
-    def test_pmf_normalizes(self, p, n, big_d):
-        total = math.fsum(bernoulli_pmf(p, n, big_d, t) for t in range(big_d, big_d + 2001))
-        assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_steady_state_when_memoryless(self):
         lengths = [LengthDist.soa(), LengthDist.constant(2), LengthDist.cut()]

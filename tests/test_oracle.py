@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import dynpath.oracle as oracle
-from dynpath.closedform import bernoulli_pmf
 from dynpath.errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp, mc_estimate
@@ -127,6 +126,19 @@ class TestExactEtt:
         with pytest.raises(InfiniteExpectation):
             exact_ett_dp(path)
 
+    @pytest.mark.parametrize("model", list(FailureModel))
+    def test_subnormal_p_answers_a_link_found_on(self, model):
+        # The off states' times overflow, but a packet that finds its one
+        # unit link on crosses in one slot and never reaches them.
+        path = uniform_path((1,), LengthDist.soa(), EdgeDynamics(1e-320, 0.5), model)
+        assert exact_ett_dp(path) == 1.0
+
+    def test_subnormal_p_diverges_only_where_an_outage_reaches(self):
+        dyn, two = EdgeDynamics(1e-320, 0.5), LengthDist.constant(2)
+        assert exact_ett_dp(uniform_path((1,), two, dyn, FailureModel.CANT_START)) == 2.0
+        with pytest.raises(InfiniteExpectation):  # an outage can interrupt a resumed crossing
+            exact_ett_dp(uniform_path((1,), two, dyn, FailureModel.RESUME))
+
     def test_joint_state_invariants(self):
         path = uniform_path(
             (0, 1), LengthDist.from_pairs([(0, 0.5), (2, 0.5)]), EdgeDynamics(0.4, 0.5),
@@ -163,7 +175,8 @@ class TestExactPmf:
         path = uniform_path((1, 1), LengthDist.cut(), EdgeDynamics(p, 1.0 - p), FailureModel.CANT_START)
         arr = exact_pmf_dp(path, 30, initial="stationary")
         for t in range(31):
-            assert arr[t] == pytest.approx(bernoulli_pmf(p, 2, 0, t), abs=1e-12)
+            # the t waiting slots fall on the two nodes in t + 1 ways, each p^2 (1 - p)^t
+            assert arr[t] == pytest.approx((t + 1) * p**2 * (1.0 - p) ** t, abs=1e-12)
 
     def test_mass_nearly_complete_at_wide_horizon(self):
         for model in FailureModel:
@@ -179,6 +192,8 @@ class TestExactPmf:
             exact_pmf_dp(path, 5, initial="bernoulli")
         with pytest.raises(ValueError):
             exact_pmf_dp(path, 5, initial="nonsense")
+        with pytest.raises(ValueError):
+            exact_pmf_dp(path, -1)
 
 
 class TestAgainstEachOther:

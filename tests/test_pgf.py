@@ -16,7 +16,7 @@ from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import TruncatedPmf, ett, ett_batch, link_law, pmf
-from dynpath.pgf import _gy_law, _Iir
+from dynpath.pgf import _gy_law, _Iir, _Poly
 
 ALL_LENGTHS = [
     LengthDist.cut(),
@@ -359,6 +359,8 @@ class TestPmf:
     def test_negative_stage_coefficient_rejected(self):
         with pytest.raises(NumericalSingularity):
             _Iir((0.0, -0.25), 1.25)
+        with pytest.raises(NumericalSingularity):
+            _Poly((0.5, -0.1))
         # EdgeDynamics refuses p > 1, which would give G_Y's recurrence the
         # coefficient 1 - p < 0; build one past the check to reach the laws.
         bad = object.__new__(EdgeDynamics)
