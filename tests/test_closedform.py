@@ -16,7 +16,7 @@ from dynpath.closedform import (
 from dynpath.errors import ConfigurationError
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp
-from dynpath.pgf import ett
+from dynpath.pgf import ett, pmf
 
 # every p = q = 1 kernel: the two closed forms and the slot simulator they are checked against
 KERNELS = (det_traversal_time, det_model2_time, det_slot_time)
@@ -104,6 +104,29 @@ class TestDeterministicSetting:
         assert 2 * big_d - k2 + 1 == 3 != simulated2
 
 
+def _balls_in_bins(p: float, n: int, big_d: int, t: int) -> float:
+    """Latency pmf with memoryless links and constant lengths totalling D.
+
+    The t - D waiting slots fall on the n nodes like identical balls into
+    bins: C(t-D+n-1, t-D) patterns, each of probability p^n (1-p)^(t-D).
+    Zero for t < D.
+    """
+    if t < big_d:
+        return 0.0
+    w = t - big_d
+    return math.comb(w + n - 1, w) * p**n * (1.0 - p) ** w
+
+
+def _memoryless_pmf(p: float, lengths, k: int) -> np.ndarray:
+    """``pmf`` of can't-start constant-length links with q = 1 - p, averaged over x ~ Bernoulli(p)^n."""
+    dyn, lds = EdgeDynamics(p, 1.0 - p), tuple(LengthDist.constant(d) for d in lengths)
+    out = np.zeros(k + 1)
+    for x in itertools.product((0, 1), repeat=len(lds)):
+        weight = math.prod(p if b else 1.0 - p for b in x)
+        out += weight * pmf(PathSpec(x, lds, dyn, FailureModel.CANT_START), k).coeffs
+    return out
+
+
 class TestBernoulliModel:
     # Memoryless links (q = 1 - p) start on with probability pi1 = p, so
     # their configuration-averaged ETT is the stationary one.
@@ -112,6 +135,26 @@ class TestBernoulliModel:
         assert steady_ett(EdgeDynamics(0.25, 0.75), [LengthDist.cut()] * 3) == pytest.approx(9.0)
         lengths = [LengthDist.constant(2), LengthDist.from_pairs([(0, 0.5), (2, 0.5)])]
         assert steady_ett(EdgeDynamics(1.0, 0.0), lengths) == pytest.approx(3.0)
+
+    def test_pmf_examples(self):
+        assert _memoryless_pmf(0.5, (0, 0), 1)[0] == pytest.approx(0.25)
+        assert _memoryless_pmf(0.5, (0,), 3)[3] == pytest.approx(0.0625)
+        assert _memoryless_pmf(0.7, (1, 1, 2), 3)[3] == 0.0
+        assert _balls_in_bins(0.5, 2, 0, 0) == pytest.approx(0.25)
+        assert _balls_in_bins(0.5, 1, 0, 3) == pytest.approx(0.0625)
+        assert _balls_in_bins(0.7, 3, 4, 3) == 0.0
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n,big_d", [(1, 0), (2, 3), (4, 4)])
+    def test_pmf_normalizes(self, p, n, big_d):
+        # D split over the n links as evenly as integers allow
+        lengths = [big_d // n + (i < big_d % n) for i in range(n)]
+        k = big_d + 2000
+        got = _memoryless_pmf(p, lengths, k)
+        want = [_balls_in_bins(p, n, big_d, t) for t in range(k + 1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert math.fsum(want) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(got.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_steady_state_when_memoryless(self):
         lengths = [LengthDist.soa(), LengthDist.constant(2), LengthDist.cut()]
