@@ -63,13 +63,6 @@ def det_model2_time(bits, lengths):
     return int(t[0]) if one else t
 
 
-def _comb0(a: int, k: int) -> int:
-    """Binomial coefficient with out-of-range arguments defined as 0."""
-    if k < 0 or a < 0 or k > a:
-        return 0
-    return math.comb(a, k)
-
-
 def steady_ett(dyn: EdgeDynamics, lengths) -> float:
     """Expected traversal time from stationary initial states, can't-start model.
 
@@ -95,7 +88,8 @@ def steady_pmf_as_printed(dyn: EdgeDynamics, n: int, D: int, t: int) -> float:
     known to disagree with the exact forward propagation (for one, it
     assigns zero mass to t = D where a zero-wait traversal has probability
     pi_on^n), so callers should treat it as a reference curve, not ground
-    truth.  See ``dynpath.oracle.exact_pmf_dp`` for the exact answer.
+    truth.  The exact answer weights ``dynpath.oracle.exact_pmf_dp`` of
+    each initial configuration by its stationary probability.
     """
     p, q = dyn.p, dyn.q
     if q <= 0.0:
@@ -106,7 +100,7 @@ def steady_pmf_as_printed(dyn: EdgeDynamics, n: int, D: int, t: int) -> float:
         return 0.0
     total = 0.0
     for m in range(1, min(n, t + 1) + 1):
-        c = _comb0(n - 1, m - 1) * _comb0(t - D, m)
+        c = math.comb(n - 1, m - 1) * math.comb(t - D, m)
         if c == 0:
             continue
         total += c * p**n * q**m * (1.0 - p) ** (t - D - m)

@@ -14,11 +14,11 @@ class DynpathError(Exception):
 
 
 class NumericalSingularity(DynpathError):
-    """A denominator collapsed below the safe evaluation threshold."""
+    """A finite result that double precision cannot carry, or a denominator that vanished."""
 
 
 class InfiniteExpectation(DynpathError):
-    """The requested expectation diverges for these parameters."""
+    """A link this model never crosses, as decided by ``model.check_feasible``."""
 
 
 class ConfigurationError(DynpathError):

@@ -10,10 +10,12 @@ or the closed forms:
   Geom(p) off-runs and Geom(q) on-runs, drawn whole rather than slot by
   slot.
 * ``exact_ett_dp`` / ``exact_pmf_dp`` build the absorbing Markov chain
-  over joint (packet position, crossing progress, link states) states,
-  solving for expected absorption times, each to a small relative error
-  and raising for an initial configuration whose own time diverges, and
-  propagating mass forward for the exact latency distribution.
+  over joint (packet position, crossing progress, link states) states and
+  answer for the path's own initial configuration: solving for expected
+  absorption times, each to a small relative error, and propagating mass
+  forward for the exact latency distribution.  As in ``pgf``, a link that
+  is never crossed is refused by ``check_feasible``, and a finite time
+  that overflows raises NumericalSingularity.
 * ``det_slot_time`` walks the deterministic p = q = 1 setting slot by
   slot, for one instance or an (m, n) array of them, as the reference for
   the closed forms of that corner.
@@ -34,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
+from .errors import ConfigurationError, NumericalSingularity, SimulationTimeout
 from .model import (
     EdgeDynamics,
     FailureModel,
@@ -192,7 +194,7 @@ def _gth(a: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Grassmann-Taksar-Heyman elimination, last half first, never subtracts, so
     each component has high relative accuracy (Alfa, Xue & Ye, 2002).  A row
-    that cannot reach a diverging one stays finite (``_dot``).
+    that cannot reach an overflowing one stays finite (``_dot``).
     """
     if s.size <= 1:
         return r / s[:, None]
@@ -364,18 +366,17 @@ class _AbsorbingChain:
     def ett(self, x) -> float:
         states, _ = self._init[self._config_int(x)]
         total = math.fsum(pr * self._hitting[self._index[s]] for s, pr in states)
-        if not math.isfinite(total):
-            raise InfiniteExpectation("absorption-time system has no finite solution")
+        if not math.isfinite(total):  # check_feasible passed, so the time is finite
+            raise NumericalSingularity("an expected absorption time overflows")
         return total
 
-    def pmf(self, weights: dict[int, float], horizon: int) -> np.ndarray:
+    def pmf(self, x, horizon: int) -> np.ndarray:
+        states, ab = self._init[self._config_int(x)]
         out = np.zeros(horizon + 1)
+        out[0] = ab
         rho = np.zeros(self._node.size)
-        for cfg, w in weights.items():
-            states, ab = self._init[cfg]
-            out[0] += w * ab
-            for s, pr in states:
-                rho[self._index[s]] += w * pr
+        for s, pr in states:
+            rho[self._index[s]] += pr
         for t in range(1, horizon + 1):
             out[t] = float(np.dot(rho, self._absorb))
             rho = np.bincount(self._cols, weights=self._vals * rho[self._rows], minlength=rho.size)
@@ -397,30 +398,14 @@ def exact_ett_dp(path: PathSpec) -> float:
     return _chain(path.dynamics, path.model, path.lengths).ett(path.x)
 
 
-def exact_pmf_dp(path: PathSpec, horizon: int, initial: str = "fixed") -> np.ndarray:
-    """Exact Pr(T = t) for t = 0..horizon by forward propagation.
+def exact_pmf_dp(path: PathSpec, horizon: int) -> np.ndarray:
+    """Exact Pr(T = t) for t = 0..horizon by forward propagation from ``path.x``.
 
-    ``initial`` selects how link states are drawn at time 0: "fixed" uses
-    ``path.x`` and "stationary" draws each link from its stationary law.
+    A random start is a weighted sum of these fixed-start answers.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    chain = _chain(path.dynamics, path.model, path.lengths)
-    n = path.n
-    if initial == "fixed":
-        weights = {chain._config_int(path.x): 1.0}
-    elif initial == "stationary":
-        p_on = path.dynamics.pi1
-        weights = {}
-        for cfg in range(1 << n):
-            w = 1.0
-            for j in range(n):
-                w *= p_on if (cfg >> j) & 1 else 1.0 - p_on
-            if w > 0.0:
-                weights[cfg] = w
-    else:
-        raise ValueError(f"unknown initial mode {initial!r}")
-    return chain.pmf(weights, horizon)
+    return _chain(path.dynamics, path.model, path.lengths).pmf(path.x, horizon)
 
 
 # --------------------------------------------------------------------------

@@ -157,14 +157,13 @@ class _Iir(LinkLaw):
     carry's last r rows, the r x r state map.  A doubling scan solves that
     recurrence: step j adds A^(2^j) s_{b-2^j} to every s_b at once, so
     ceil(log2(k/B)) steps of O(k/B) r x r products each replace a loop over
-    the k/B blocks; the law caches the powers A^(2^j) as longer series ask
-    for them.  A, its powers and the carry are nonnegative, so every addend
-    is a nonnegative multiple of the input and the scan never cancels.
+    the k/B blocks, squaring A once per step.  A, its powers and the carry
+    are nonnegative, so every addend is a nonnegative multiple of the input
+    and the scan never cancels.
     """
 
     def __init__(self, c, slack: float):
         self.c, self.slack = tuple(float(cj) for cj in c), float(slack)
-        self._powers: tuple[np.ndarray, ...] = ()
         proper = len(self.c) >= 2 and self.c[0] == 0.0 and min(self.c) >= 0.0
         if not (proper and self.slack > 0.0 and abs(self.slack + math.fsum(self.c) - 1.0) <= 1e-9):
             raise NumericalSingularity(
@@ -201,16 +200,6 @@ class _Iir(LinkLaw):
             y[r + t, t] += 1.0
         return y[r:, :width], y[r:, width:]
 
-    def _state_powers(self, a: np.ndarray, steps: int) -> tuple[np.ndarray, ...]:
-        """a, a^2, a^4, ..., a^(2^(steps-1)) for the block state map a, grown on demand."""
-        powers = self._powers
-        if len(powers) < steps:
-            powers = powers or (a,)
-            while len(powers) < steps:
-                powers += (powers[-1] @ powers[-1],)
-            self._powers = powers  # one rebinding: a concurrent caller sees a whole tuple
-        return powers[:steps]
-
     def apply(self, x):
         toeplitz, carry = self._blocks
         width, r = carry.shape
@@ -222,9 +211,10 @@ class _Iir(LinkLaw):
         # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
         # A^i u_{b-i} over i < 2d.  The last block's state is never read.
         s = y[:-1, -r:].copy()
-        for j, power in enumerate(self._state_powers(carry[-r:], max(nb - 2, 0).bit_length())):
-            d = 1 << j
+        power, d = carry[-r:], 1
+        while d < len(s):
             s[d:] += s[:-d] @ power.T
+            power, d = power @ power, 2 * d
         y[1:] += s @ carry.T
         return y.reshape(nb * width)[:n]
 
@@ -280,7 +270,7 @@ def _retry(dyn: EdgeDynamics, e: list[float], success: float) -> LinkLaw:
 
 
 # ett_batch reads each (length, dynamics) law once per fill, and pmf once per link: one build while cached.
-@lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks and log2(k/64) r x r powers
+@lru_cache(maxsize=32)  # per recurrence, an applied law keeps 33 kB of blocks
 def link_law(model: FailureModel, dyn: EdgeDynamics, length: LengthDist) -> LinkLaw:
     """F_1 of one link, the crossing delay given the link is on at arrival."""
     check_feasible(model, dyn, length)

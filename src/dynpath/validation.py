@@ -114,6 +114,13 @@ def max_geometric_reduction() -> tuple[int, float]:
     return len(errs), max(errs)
 
 
+def _start_weights(n: int, on: float) -> list[tuple[tuple[int, ...], float]]:
+    """Each n-link initial configuration with its probability when every link starts on w.p. ``on``."""
+    return [
+        (x, math.prod(on if b else 1.0 - on for b in x)) for x in itertools.product((0, 1), repeat=n)
+    ]
+
+
 def _average_reduction(pairs, start_on) -> tuple[int, float]:
     """Config-averaged ``ett`` of can't-start grid paths against ``steady_ett``.
 
@@ -123,11 +130,9 @@ def _average_reduction(pairs, start_on) -> tuple[int, float]:
     errs = []
     for (p, q), (_, ld), n in itertools.product(pairs, GRID_LENGTHS, range(1, 5)):
         dyn = EdgeDynamics(p, q)
-        on = start_on(dyn)
-        configs = list(itertools.product((0, 1), repeat=n))
-        paths = [uniform_path(x, ld, dyn, FailureModel.CANT_START) for x in configs]
-        weights = [math.prod(on if b else 1.0 - on for b in x) for x in configs]
-        avg = sum(w * total for w, total in zip(weights, ett_batch(paths)[:, -1].tolist()))
+        starts = _start_weights(n, start_on(dyn))
+        paths = [uniform_path(x, ld, dyn, FailureModel.CANT_START) for x, _ in starts]
+        avg = sum(w * total for (_, w), total in zip(starts, ett_batch(paths)[:, -1].tolist()))
         errs.append(abs(avg - steady_ett(dyn, [ld] * n)))
     return len(errs), max(errs)
 
@@ -197,10 +202,12 @@ def reduction_checks() -> list[CheckResult]:
 def eq1_discrepancy_table(max_n: int):
     """Characterize the printed stationary-start pmf against the exact one.
 
-    Returns (rows, check): rows hold per-instance deviation summaries and
-    the check pins the known zero-mass defect at t = D (the printed sum
-    vanishes there while the exact distribution carries pi_on^n).  The
-    deviation itself is reported, never asserted.
+    The exact pmf weights the fixed-start ``exact_pmf_dp`` of every
+    initial configuration by its stationary probability.  Returns (rows,
+    check): rows hold per-instance deviation summaries and the check pins
+    the known zero-mass defect at t = D (the printed sum vanishes there
+    while the exact distribution carries pi_on^n).  The deviation itself
+    is reported, never asserted.
     """
     rows = []
     pinned_ok = True
@@ -210,8 +217,10 @@ def eq1_discrepancy_table(max_n: int):
             for d in (0, 1, 2):
                 ld = LengthDist.constant(d)
                 big_d = n * d
-                path = uniform_path((1,) * n, ld, dyn, FailureModel.CANT_START)
-                exact = exact_pmf_dp(path, _EQ1_T_MAX, initial="stationary")
+                exact = sum(
+                    w * exact_pmf_dp(uniform_path(x, ld, dyn, FailureModel.CANT_START), _EQ1_T_MAX)
+                    for x, w in _start_weights(n, dyn.pi1)
+                )
                 dev = 0.0
                 t_at = 0
                 for t in range(_EQ1_T_MAX + 1):

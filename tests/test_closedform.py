@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dynpath.errors import ConfigurationError
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import ett, pmf
+from dynpath.validation import _start_weights
 
 # every p = q = 1 kernel: the two closed forms and the slot simulator they are checked against
 KERNELS = (det_traversal_time, det_model2_time, det_slot_time)
@@ -121,10 +123,15 @@ def _memoryless_pmf(p: float, lengths, k: int) -> np.ndarray:
     """``pmf`` of can't-start constant-length links with q = 1 - p, averaged over x ~ Bernoulli(p)^n."""
     dyn, lds = EdgeDynamics(p, 1.0 - p), tuple(LengthDist.constant(d) for d in lengths)
     out = np.zeros(k + 1)
-    for x in itertools.product((0, 1), repeat=len(lds)):
-        weight = math.prod(p if b else 1.0 - p for b in x)
+    for x, weight in _start_weights(len(lds), p):
         out += weight * pmf(PathSpec(x, lds, dyn, FailureModel.CANT_START), k).coeffs
     return out
+
+
+def _stationary_pmf(path: PathSpec, horizon: int) -> np.ndarray:
+    """``exact_pmf_dp`` averaged over the initial configurations, each link on w.p. pi1."""
+    starts = _start_weights(path.n, path.dynamics.pi1)
+    return sum(w * exact_pmf_dp(replace(path, x=x), horizon) for x, w in starts)
 
 
 class TestBernoulliModel:
@@ -189,7 +196,7 @@ class TestSteadyState:
         printed = steady_pmf_as_printed(dyn, 2, 0, 1)
         assert printed == pytest.approx(0.125)
         path = uniform_path((1, 1), LengthDist.cut(), dyn, FailureModel.CANT_START)
-        exact = exact_pmf_dp(path, 1, initial="stationary")[1]
+        exact = _stationary_pmf(path, 1)[1]
         assert abs(printed - exact) > 1e-3
 
 

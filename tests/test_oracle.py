@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import dynpath.oracle as oracle
-from dynpath.errors import ConfigurationError, InfiniteExpectation, SimulationTimeout
+from dynpath.errors import ConfigurationError, InfiniteExpectation, NumericalSingularity, SimulationTimeout
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, exact_ett_dp, exact_pmf_dp, mc_estimate
 from dynpath.pgf import ett, pmf
 from test_acceptance import ABS_TOL_PMF, REL_TOL_ETT
+from test_closedform import _balls_in_bins, _stationary_pmf
 
 _C = [LengthDist.constant(d) for d in range(4)]
 _P01 = LengthDist.from_pairs([(0, 0.5), (1, 0.5)])
@@ -121,9 +122,9 @@ class TestExactEtt:
             exact_ett_dp(path)
 
     def test_subnormal_p_has_no_finite_solution(self):
-        # 1/p overflows, so the waiting states' expected times are not finite.
+        # The expected time is finite, but 1/p overflows: a numerical failure.
         path = uniform_path((0,), LengthDist.cut(), EdgeDynamics(1e-320, 0.5), FailureModel.CANT_START)
-        with pytest.raises(InfiniteExpectation):
+        with pytest.raises(NumericalSingularity):
             exact_ett_dp(path)
 
     @pytest.mark.parametrize("model", list(FailureModel))
@@ -136,8 +137,24 @@ class TestExactEtt:
     def test_subnormal_p_diverges_only_where_an_outage_reaches(self):
         dyn, two = EdgeDynamics(1e-320, 0.5), LengthDist.constant(2)
         assert exact_ett_dp(uniform_path((1,), two, dyn, FailureModel.CANT_START)) == 2.0
-        with pytest.raises(InfiniteExpectation):  # an outage can interrupt a resumed crossing
+        with pytest.raises(NumericalSingularity):  # an outage can interrupt a resumed crossing
             exact_ett_dp(uniform_path((1,), two, dyn, FailureModel.RESUME))
+
+    @pytest.mark.parametrize(
+        "x, length, dyn, model, error",
+        [((0,), LengthDist.cut(), EdgeDynamics(1e-320, 0.5), m, NumericalSingularity) for m in FailureModel]
+        + [
+            ((1,), _C[2], EdgeDynamics(1e-320, 0.5), FailureModel.RESUME, NumericalSingularity),
+            ((1,), _C[2], EdgeDynamics(0.5, 1.0), FailureModel.RETRANSMIT_IDENTICAL, InfiniteExpectation),
+        ],
+        ids=[f"{m.value}_cut_overflows" for m in FailureModel] + ["resume_2_overflows", "identical_2_q1_diverges"],
+    )
+    def test_fails_as_ett_does(self, x, length, dyn, model, error):
+        # Only check_feasible reports divergence; a finite time that overflows is numerical.
+        path = uniform_path(x, length, dyn, model)
+        for engine in (ett, exact_ett_dp):
+            with pytest.raises(error):
+                engine(path)
 
     def test_joint_state_invariants(self):
         path = uniform_path(
@@ -165,7 +182,7 @@ class TestExactPmf:
 
     def test_stationary_single_link(self):
         path = uniform_path((1,), LengthDist.cut(), EdgeDynamics(0.5, 0.5), FailureModel.CANT_START)
-        arr = exact_pmf_dp(path, 6, initial="stationary")
+        arr = _stationary_pmf(path, 6)
         assert arr[0] == pytest.approx(0.5)
         np.testing.assert_allclose(arr[1:], 0.5 * 0.5 ** np.arange(1, 7), atol=1e-12)
 
@@ -173,10 +190,9 @@ class TestExactPmf:
         p = 0.5
         # memoryless links (q = 1 - p) start on with probability pi1 = p
         path = uniform_path((1, 1), LengthDist.cut(), EdgeDynamics(p, 1.0 - p), FailureModel.CANT_START)
-        arr = exact_pmf_dp(path, 30, initial="stationary")
+        arr = _stationary_pmf(path, 30)
         for t in range(31):
-            # the t waiting slots fall on the two nodes in t + 1 ways, each p^2 (1 - p)^t
-            assert arr[t] == pytest.approx((t + 1) * p**2 * (1.0 - p) ** t, abs=1e-12)
+            assert arr[t] == pytest.approx(_balls_in_bins(p, 2, 0, t), abs=1e-12)
 
     def test_mass_nearly_complete_at_wide_horizon(self):
         for model in FailureModel:
@@ -188,10 +204,6 @@ class TestExactPmf:
 
     def test_initial_mode_validation(self):
         path = uniform_path((1,), LengthDist.cut(), EdgeDynamics(0.5, 0.5), FailureModel.CANT_START)
-        with pytest.raises(ValueError):
-            exact_pmf_dp(path, 5, initial="bernoulli")
-        with pytest.raises(ValueError):
-            exact_pmf_dp(path, 5, initial="nonsense")
         with pytest.raises(ValueError):
             exact_pmf_dp(path, -1)
 
