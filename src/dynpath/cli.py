@@ -28,9 +28,12 @@ fills one ETT table for all its points.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import (
     ConfigurationError,
@@ -116,8 +119,12 @@ def parse_config_text(text: str) -> RunConfig:
     scalars: dict[str, object] = {}
     edges: list[tuple[int, LengthDist]] = []
     laws: dict[str, LengthDist] = {}
-    parsed: dict[str, tuple[int, LengthDist]] = {}  # each distinct edge text, parsed once
+    parsed: dict[str, tuple[int, LengthDist]] = {}  # each distinct edge line, parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        edge = parsed.get(raw)
+        if edge is not None:
+            edges.append(edge)
+            continue
         key, sep, value = raw.partition("#")[0].partition("=")
         key, value = key.strip(), value.strip()
         if not sep:
@@ -125,12 +132,10 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
         if key == "edge":
-            edge = parsed.get(value)
-            if edge is None:
-                try:
-                    edge = parsed[value] = _parse_edge(value, laws)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"line {lineno}: {exc}") from None
+            try:
+                edge = parsed[raw] = _parse_edge(value, laws)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"line {lineno}: {exc}") from None
             edges.append(edge)
         elif key in _SCALAR_KEYS:
             if key in scalars:
@@ -172,24 +177,37 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+_CHUNK = 1 << 16  # rows per write: a few writes per table, and bounded memory at any k
+
+
+def _write_rows(out, row: str, *columns) -> None:
+    """Write ``row % cells`` for each row of cells across ``columns``, ``_CHUNK`` rows per write.
+
+    A column is a range, a list or a 1-D array; an array becomes Python
+    floats one chunk at a time.  A chunk is one ``%`` over the row repeated,
+    and ``%.12g`` prints a float as ``_fmt`` does.
+    """
+    for lo in range(0, len(columns[0]), _CHUNK):
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in (col[lo : lo + _CHUNK] for col in columns)]
+        out.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+
+
 def cmd_ett(cfg: RunConfig, out) -> int:
     total, per_node = ett(cfg.path)
     out.write(f"ett = {_fmt(total)}\n")
-    for i in range(1, len(per_node)):
-        out.write(f"arrival_{i} = {_fmt(per_node[i])}\n")
+    _write_rows(out, "arrival_%d = %.12g\n", range(1, len(per_node)), per_node[1:])
     return 0
 
 
 def cmd_pmf(cfg: RunConfig, fmt: str, out) -> int:
     result = pmf(cfg.path, cfg.k)
+    ts = range(len(result.coeffs))
     if fmt == "csv":
         out.write("t,prob\n")
-        for t, pr in enumerate(result.coeffs):
-            out.write(f"{t},{_fmt(pr)}\n")
+        _write_rows(out, "%d,%.12g\n", ts, result.coeffs)
         out.write(f"tail,{_fmt(result.tail_mass)}\n")
     else:
-        for t, pr in enumerate(result.coeffs):
-            out.write(f"t_{t} = {_fmt(pr)}\n")
+        _write_rows(out, "t_%d = %.12g\n", ts, result.coeffs)
         out.write(f"tail = {_fmt(result.tail_mass)}\n")
     return 0
 
@@ -265,8 +283,7 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
         paths = [replace(base, dynamics=replace(base.dynamics, **{param: value})) for value in values]
         results = ett_batch(paths)[:, -1].tolist()
     out.write("param,value,ett\n")
-    for v, e in zip(values, results):
-        out.write(f"{param},{_fmt(v)},{_fmt(e)}\n")
+    _write_rows(out, param + ",%.12g,%.12g\n", values, results)
     if param == "p":
         for (v1, e1), (v2, e2) in zip(zip(values, results), zip(values[1:], results[1:])):
             if e2 > e1 + 1e-9:

@@ -188,7 +188,7 @@ class PathSpec:
             raise ValueError(
                 f"got {len(self.x)} initial bits but {len(self.lengths)} length distributions"
             )
-        if any(b not in (0, 1) for b in self.x):
+        if not {0, 1}.issuperset(self.x):
             raise ValueError(f"initial states must be 0/1 bits, got {self.x}")
 
     @property

@@ -210,20 +210,20 @@ def test_criterion_7_structural_identities():
     for p, q in ((0.4, 0.7), (0.8, 0.3)):
         dyn = EdgeDynamics(p, q)
         for d in (0, 1, 2, 3):
-            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d)).value(z_grid)
-            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d)).value(z_grid)
+            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, (dyn,), LengthDist.constant(d)).value(z_grid)
+            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, (dyn,), LengthDist.constant(d)).value(z_grid)
             worst_collapse = max(worst_collapse, float(np.max(np.abs(fa - fb))))
     # ... and differ somewhere for a two-point length distribution
     two_point = LengthDist.from_pairs([(1, 0.5), (3, 0.5)])
     dyn = EdgeDynamics(0.4, 0.7)
-    fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, two_point).value(z_grid)
-    fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, two_point).value(z_grid)
+    fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, (dyn,), two_point).value(z_grid)
+    fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, (dyn,), two_point).value(z_grid)
     differs = float(np.max(np.abs(fa - fb))) > 1e-6
     # (v) resampled retransmission with unit lengths reduces to F1(z) = z
     worst_unit = 0.0
     for p, q in ((0.3, 0.2), (0.6, 0.9), (0.5, 1.0)):
         dyn = EdgeDynamics(p, q)
-        f1 = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.soa()).value(z_grid)
+        f1 = link_law(FailureModel.RETRANSMIT_RESAMPLED, (dyn,), LengthDist.soa()).value(z_grid)
         worst_unit = max(worst_unit, float(np.max(np.abs(f1 - z_grid))))
     ok = (
         worst_f1f0 <= TOL_F1F0

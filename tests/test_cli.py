@@ -4,17 +4,22 @@ import importlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import dynpath
+import dynpath.cli as cli
 import dynpath.validation as validation
 from dynpath.cli import RunConfig, _sweep_values, main, parse_config_text
 from dynpath.errors import ConfigurationError
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec
+from dynpath.oracle import exact_ett_dp
+from dynpath.pgf import ett, pmf
 import test_acceptance
 
 BASIC = """
@@ -133,17 +138,22 @@ sweep_step = 0.2
         ],
     )
     def test_bad_edge_names_its_line(self, bad, reason):
-        # the good edge before it is parsed once and reused, the bad one is not
-        text = BASIC + "edge = 1 pmf 0:0.5 2:0.5\n" * 4 + bad + "\nedge = 1 0\n"
+        # the good edge before it is parsed once and reused; the bad one,
+        # repeated, is named at its first line
+        text = BASIC + "edge = 1 pmf 0:0.5 2:0.5\n" * 4 + bad + "\nedge = 1 0\n" + bad + "\n"
         lineno = text.splitlines().index(bad) + 1
         with pytest.raises(ConfigurationError, match=rf"^line {lineno}: .*{reason}"):
             parse_config_text(text)
 
     def test_edges_share_one_law_per_length_text(self):
-        cfg = parse_config_text(BASIC + "edge = 1 pmf 0:0.5 2:0.5\nedge = 0 pmf  0:0.5 2:0.5\n")
+        # repeated lines, and lines that differ in spacing or comments only
+        variants = ["edge = 1 pmf 0:0.5 2:0.5", "edge = 0 pmf  0:0.5 2:0.5",
+                    "edge = 1 pmf 0:0.5 2:0.5  # again", "edge =   1   pmf 0:0.5   2:0.5"]
+        cfg = parse_config_text(BASIC + "\n".join(variants * 3) + "\n")
         laws = cfg.path.lengths
         assert laws[0] is laws[1]
-        assert laws[2] is laws[3]
+        assert len(laws) == 14 and all(law is laws[2] for law in laws[2:])
+        assert cfg.path.x[2:] == (1, 0, 1, 1) * 3
 
 
 class TestEttCommand:
@@ -169,9 +179,18 @@ class TestEttCommand:
         code, _ = run_cli(["ett", "--config", str(cfg)])
         assert code == 2
 
-    def test_overflowing_slope_exits_3(self, tmp_path, capsys):
+    def test_tiny_p_prints_the_chain_s_ett(self, tmp_path):
+        # G_Y's own slope (1-p)/p^2 overflows at p = 1e-158; the ETT, about 1/p, does not.
         cfg = tmp_path / "c.txt"
         cfg.write_text("p = 1e-158\nq = 0.5\nmodel = resume\nedge = 0 2\nedge = 1 1\n")
+        code, text = run_cli(["ett", "--config", str(cfg)])
+        assert code == 0
+        want = exact_ett_dp(parse_config_text(cfg.read_text()).path)
+        assert float(kv(text)["ett"]) == pytest.approx(want, rel=test_acceptance.REL_TOL_ETT)
+
+    def test_overflowing_ett_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 1e-308\nq = 0.5\nmodel = resume\nedge = 0 2\nedge = 1 1\n")
         code, text = run_cli(["ett", "--config", str(cfg)])
         assert code == 3
         assert text == ""
@@ -489,6 +508,88 @@ class TestSweepCommand:
         assert len(values) == 99801
         assert values[-1] == 0.999
         assert values[51234] == round(0.001 + 51234 * 1e-5, 12)
+
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _fmt(x) -> str:
+    return f"{float(x):.12g}"
+
+
+class TestBulkOutput:
+    """Rows go out in a few large writes, with the bytes one write per line gave."""
+
+    N_LINKS = 16_000
+
+    @pytest.fixture(scope="class")
+    def long_cfg(self, tmp_path_factory):
+        rng = random.Random(20)
+        lengths = ("0", "1", "2", "pmf 0:0.5 2:0.5", "pmf 1:0.25 3:0.75")
+        edges = [f"edge = {rng.getrandbits(1)} {rng.choice(lengths)}" for _ in range(self.N_LINKS)]
+        cfg = tmp_path_factory.mktemp("bulk") / "long.cfg"
+        cfg.write_text("p = 0.9\nq = 0.9\nmodel = resume\n" + "\n".join(edges) + "\n")
+        return cfg
+
+    def test_ett_matches_per_line_rendering(self, long_cfg):
+        out = _CountingWriter()
+        assert main(["ett", "--config", str(long_cfg)], out=out) == 0
+        total, per_node = ett(parse_config_text(long_cfg.read_text()).path)
+        want = f"ett = {_fmt(total)}\n" + "".join(f"arrival_{i} = {_fmt(per_node[i])}\n" for i in range(1, len(per_node)))
+        assert out.getvalue() == want
+        assert out.writes <= 3
+
+    def test_sweep_matches_per_line_rendering(self, tmp_path):
+        rng = random.Random(21)
+        edges = "".join(f"edge = {rng.getrandbits(1)} {rng.choice('0123')}\n" for _ in range(300))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.5\nq = 0.3\nmodel = retransmit_resampled\n" + edges)
+        out = _CountingWriter()
+        argv = ["sweep", "--config", str(cfg), "--param", "p", "--from", "0.05", "--to", "0.95", "--step", "0.01"]
+        assert main(argv, out=out) == 0
+        path = parse_config_text(cfg.read_text()).path
+        rows = []
+        for v in _sweep_values(0.05, 0.95, 0.01):
+            total = ett(replace(path, dynamics=replace(path.dynamics, p=v)))[0]
+            rows.append(f"p,{_fmt(v)},{_fmt(total)}\n")
+        assert len(rows) == 91
+        assert out.getvalue() == "param,value,ett\n" + "".join(rows)
+        assert out.writes == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "kv"])
+    def test_pmf_over_several_chunks_matches_per_line_rendering(self, tmp_path, fmt):
+        k = cli._CHUNK * 3 + 1
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.001\nq = 0.5\nmodel = resume\nedge = 0 2\nedge = 1 pmf 0:0.5 2:0.5\n")
+        out = _CountingWriter()
+        assert main(["pmf", "--config", str(cfg), "--k", str(k), "--format", fmt], out=out) == 0
+        result = pmf(parse_config_text(cfg.read_text()).path, k)
+        if fmt == "csv":
+            rows = "".join(f"{t},{_fmt(pr)}\n" for t, pr in enumerate(result.coeffs))
+            want = "t,prob\n" + rows + f"tail,{_fmt(result.tail_mass)}\n"
+        else:
+            rows = "".join(f"t_{t} = {_fmt(pr)}\n" for t, pr in enumerate(result.coeffs))
+            want = rows + f"tail = {_fmt(result.tail_mass)}\n"
+        assert out.getvalue() == want
+        assert out.writes <= 4 + 2  # four chunks of rows, the header and the tail
+
+    def test_unbuffered_child_writes_the_same_bytes(self, long_cfg):
+        out = io.StringIO()
+        main(["ett", "--config", str(long_cfg)], out=out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynpath", "ett", "--config", str(long_cfg)],
+            capture_output=True,
+            env=dict(CHILD_ENV, PYTHONUNBUFFERED="1"),
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == out.getvalue().encode()
 
 
 def test_module_entrypoint_runs(tmp_path):

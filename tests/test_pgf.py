@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -36,19 +38,19 @@ def geom_pgf(p, z):
 
 def f0_f1(model, dyn, length, z):
     """(F_0(z), F_1(z)) of one link: F_1 from its law, F_0 = G_Y F_1."""
-    f1 = link_law(model, dyn, length).value(np.asarray(z, dtype=float))
+    f1 = link_law(model, (dyn,), length).value(np.asarray(z, dtype=float))
     return geom_pgf(dyn.p, z) * f1, f1
 
 
 class TestGy:
     def test_normalization(self):
-        assert _gy_law(EdgeDynamics(0.37, 0.2)).value(1.0) == pytest.approx(1.0)
+        assert _gy_law((EdgeDynamics(0.37, 0.2),)).value(1.0) == pytest.approx(1.0)
 
     def test_waits_at_least_one_slot(self):
-        assert _gy_law(EdgeDynamics(0.37, 0.2)).value(0.0) == 0.0
+        assert _gy_law((EdgeDynamics(0.37, 0.2),)).value(0.0) == 0.0
 
     def test_geometric_series_value(self):
-        assert _gy_law(EdgeDynamics(0.25, 0.25)).value(0.5) == pytest.approx(0.2)
+        assert _gy_law((EdgeDynamics(0.25, 0.25),)).value(0.5) == pytest.approx(0.2)
 
 
 class TestFPair:
@@ -91,7 +93,7 @@ class TestFPair:
             length = ALL_LENGTHS[rng.integers(len(ALL_LENGTHS))]
             z = float(rng.uniform(-1.0, 1.0))
             dyn = EdgeDynamics(p, q)
-            assert abs(_gy_law(dyn).value(z) - geom_pgf(p, z)) <= 1e-12
+            assert abs(_gy_law((dyn,)).value(z) - geom_pgf(p, z)) <= 1e-12
             f0 = pmf(PathSpec((0,), (length,), dyn, model), k).coeffs
             f1 = pmf(PathSpec((1,), (length,), dyn, model), k).coeffs
             geom = np.zeros(k + 1)
@@ -102,35 +104,35 @@ class TestFPair:
     @pytest.mark.parametrize("length", ALL_LENGTHS)
     def test_normalization_at_one(self, model, length):
         dyn = EdgeDynamics(0.35, 0.45)
-        law = link_law(model, dyn, length)
+        law = link_law(model, (dyn,), length)
         assert law.value(1.0) == pytest.approx(1.0, abs=1e-12)
         assert law.at_one()[0] == pytest.approx(1.0, abs=1e-12)
-        assert _gy_law(dyn).value(1.0) * law.value(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert _gy_law((dyn,)).value(1.0) * law.value(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_divergent_retransmit_rejected(self):
         dyn = EdgeDynamics(0.5, 1.0)
         for model in (FailureModel.RETRANSMIT_IDENTICAL, FailureModel.RETRANSMIT_RESAMPLED):
             with pytest.raises(InfiniteExpectation):
-                link_law(model, dyn, LengthDist.constant(2))
+                link_law(model, (dyn,), LengthDist.constant(2))
 
     def test_case_collapse_for_constant_lengths(self):
         dyn = EdgeDynamics(0.4, 0.7)
         for d in (0, 1, 2, 3):
-            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, LengthDist.constant(d)).value(Z_GRID)
-            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, LengthDist.constant(d)).value(Z_GRID)
+            fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, (dyn,), LengthDist.constant(d)).value(Z_GRID)
+            fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, (dyn,), LengthDist.constant(d)).value(Z_GRID)
             np.testing.assert_allclose(fa, fb, atol=1e-12)
 
     def test_cases_differ_for_two_point_lengths(self):
         dyn = EdgeDynamics(0.4, 0.7)
         length = LengthDist.from_pairs([(1, 0.5), (3, 0.5)])
-        fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, dyn, length).value(Z_GRID)
-        fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, dyn, length).value(Z_GRID)
+        fa = link_law(FailureModel.RETRANSMIT_IDENTICAL, (dyn,), length).value(Z_GRID)
+        fb = link_law(FailureModel.RETRANSMIT_RESAMPLED, (dyn,), length).value(Z_GRID)
         assert np.max(np.abs(fa - fb)) > 1e-6
 
 
 def gamma1(model, dyn, length):
     """F_1'(1), the mean crossing delay of a link found on."""
-    return link_law(model, dyn, length).at_one()[1]
+    return link_law(model, (dyn,), length).at_one()[1]
 
 
 class TestGammaPair:
@@ -160,7 +162,7 @@ class TestGammaPair:
     def test_matches_finite_difference(self, model, length):
         dyn = EdgeDynamics(0.45, 0.35)
         h = 1e-5
-        law = link_law(model, dyn, length)
+        law = link_law(model, (dyn,), length)
         up = law.value(np.array([1.0 + h]))
         down = law.value(np.array([1.0 - h]))
         fd = float(np.squeeze((up - down) / (2.0 * h)))
@@ -270,11 +272,25 @@ class TestEtt:
         return PathSpec((0, 1), lengths, EdgeDynamics(p, 0.5), FailureModel.RESUME)
 
     @pytest.mark.parametrize("p", [1e-158, 1e-170, 1e-300])
-    def test_tiny_p_raises_instead_of_nan(self, p):
-        # The resume law's slope divides by (1 - c(1))^2 ~ p^2, which
-        # overflows the arrival times near p = 1e-158 and is 0 below 1e-162.
+    def test_tiny_p_matches_absorbing_chain(self, p):
+        # G_Y's slope (1-p)/p^2 alone overflows near p = 1e-158 and its
+        # denominator p^2 is 0 below 1e-162; the factor p before it in the
+        # cascade brings the product back to about 1/p.
+        path = self._rare_on_resume(p)
+        assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
+
+    def test_overflowing_ett_raises(self):
+        # 1/p itself overflows here, as it does in the absorbing chain.
         with pytest.raises(NumericalSingularity):
-            ett(self._rare_on_resume(p))
+            ett(self._rare_on_resume(1e-308))
+
+    @pytest.mark.parametrize("model", list(FailureModel))
+    @pytest.mark.parametrize("length", [LengthDist.constant(2), LengthDist.from_pairs([(1, 0.25), (3, 0.75)])])
+    def test_link_found_on_at_tiny_p_matches_absorbing_chain(self, model, length):
+        # An on link's slope holds 1/slack^2 with slack ~ p = 1e-170, which
+        # underflows to 0, though the ETT (up to 2.25e170) is representable.
+        path = PathSpec((1,), (length,), EdgeDynamics(1e-170, 0.5), model)
+        assert ett(path)[0] == pytest.approx(exact_ett_dp(path), rel=REL_TOL_ETT)
 
     def test_small_p_keeps_its_value(self):
         total, per_node = ett(self._rare_on_resume(1e-150))
@@ -358,7 +374,7 @@ class TestPmf:
 
     def test_negative_stage_coefficient_rejected(self):
         with pytest.raises(NumericalSingularity):
-            _Iir((0.0, -0.25), 1.25)
+            _Iir((0.0, -0.25), 1.25, ("c",))
         with pytest.raises(NumericalSingularity):
             _Poly((0.5, -0.1))
         # EdgeDynamics refuses p > 1, which would give G_Y's recurrence the
@@ -368,7 +384,7 @@ class TestPmf:
         object.__setattr__(bad, "q", 0.2)
         for model in (FailureModel.RESUME, FailureModel.RETRANSMIT_IDENTICAL):
             with pytest.raises(NumericalSingularity):
-                link_law(model, bad, LengthDist.constant(2))
+                link_law(model, (bad,), LengthDist.constant(2))
         for model in FailureModel:
             with pytest.raises(NumericalSingularity):
                 pmf(uniform_path((0, 1), LengthDist.constant(2), bad, model), 8)
@@ -404,11 +420,11 @@ def test_iir_apply_matches_plain_recurrence(order, slack):
     w = rng.random(order) * (rng.random(order) < 0.7)
     w[-1] = 1.0
     c = np.concatenate(([0.0], w / math.fsum(w) * (1.0 - slack)))
-    law = _Iir(c, slack)
+    law = _Iir(c, slack, ("c",))
     longest = pgf_module._BLOCK * 131 + 5
     x = rng.random((2, longest)) * (rng.random((2, longest)) < 0.8)
     x[:, :3] = 0.0  # leading zeros must stay exactly zero
-    want = _plain_recurrence(law.c, x)
+    want = _plain_recurrence(c, x)
     for n in (1, 63, 64, 65, longest, 129):
         for row, want_row in zip(x, want):
             got = law.apply(row[:n])
@@ -427,15 +443,26 @@ def test_law_readers_agree():
     zs = np.array([-0.5, 0.1, 0.3, 0.5, 0.9])
     pqs = [(0.5, 0.5), (0.3, 0.2), (0.9, 0.05), (0.05, 0.3), (0.2, 0.9)]
     kept = 0
-    for model, (p, q), length in itertools.product(FailureModel, pqs, ALL_LENGTHS[1:]):
-        law = link_law(model, EdgeDynamics(p, q), length)
-        series = law.apply(impulse)
-        if 1.0 - math.fsum(series.tolist()) > 1e-12:
-            continue
-        kept += 1
-        at_zs = np.polynomial.polynomial.polyval(zs, series)
-        np.testing.assert_allclose(at_zs, law.value(zs), rtol=1e-12, atol=0)
-        assert math.fsum((np.arange(k + 1) * series).tolist()) == pytest.approx(law.at_one()[1], rel=1e-12)
+    for model, length in itertools.product(FailureModel, ALL_LENGTHS[1:]):
+        dyns = tuple(EdgeDynamics(p, q) for p, q in pqs)
+        for dyn in dyns:
+            law = link_law(model, (dyn,), length)
+            series = law.apply(impulse)
+            if 1.0 - math.fsum(series.tolist()) > 1e-12:
+                continue
+            kept += 1
+            at_zs = np.polynomial.polynomial.polyval(zs, series)
+            np.testing.assert_allclose(at_zs, law.value(zs), rtol=1e-12, atol=0)
+            slope = math.fsum((np.arange(k + 1) * series).tolist())
+            assert slope == pytest.approx(law.at_one()[1], rel=1e-12)
+        # The law over all five dynamics reads as the five one-dynamics laws, bit for bit.
+        grid = np.column_stack([[0.3**j for j in range(1, 6)], *([zs] * (len(dyns) - 1))])
+        wide = link_law(model, dyns, length)
+        one = [link_law(model, (dyn,), length) for dyn in dyns]
+        want = np.column_stack([np.broadcast_to(law.value(z), z.shape) for law, z in zip(one, grid.T)])
+        assert np.array_equal(np.broadcast_to(wide.value(grid), grid.shape), want)
+        for got, parts in zip(wide.at_one(), zip(*(law.at_one() for law in one))):
+            assert np.array_equal(np.broadcast_to(got, len(dyns)), parts)
     assert kept >= 80
 
 
@@ -641,6 +668,32 @@ def _check_truncated_against_full(model, betas, u, laws, extra, seed):
             ett_batch(paths)
         return
     _assert_truncated_close(paths)
+
+
+@pytest.mark.parametrize("model", list(FailureModel))
+def test_sweep_batch_matches_single_paths(model):
+    # The shape of a p sweep: one path, 91 dynamics, one law per length over all of them.
+    rng = np.random.default_rng(11)
+    laws = ALL_LENGTHS[:4] + [LengthDist.from_pairs([(1, 0.5), (3, 0.5)])]
+    lengths = tuple(laws[k] for k in rng.integers(len(laws), size=300))
+    base = PathSpec(tuple(rng.integers(0, 2, size=300).tolist()), lengths, EdgeDynamics(0.5, 0.3), model)
+    paths = [replace(base, dynamics=EdgeDynamics(round(0.05 + 0.01 * i, 12), 0.3)) for i in range(91)]
+    batch = ett_batch(paths)
+    for row, path in zip(batch, paths):
+        assert np.array_equal(row, ett(path)[1])
+
+
+def test_invalid_recurrence_names_its_dynamics():
+    # (1 - q)^119 underflows at q = 0.999, so a length-120 attempt's success
+    # weight, the slack of its retry recurrence, is 0.
+    good, bad = EdgeDynamics(0.5, 0.5), EdgeDynamics(0.5, 0.999)
+    length = LengthDist.constant(120)
+    link_law(FailureModel.RETRANSMIT_IDENTICAL, (good,), length)
+    with pytest.raises(NumericalSingularity, match=rf"^{re.escape(str(bad))}: .*not a nonnegative recurrence"):
+        link_law(FailureModel.RETRANSMIT_IDENTICAL, (good, bad, good), length)
+    path = uniform_path((0, 1), length, good, FailureModel.RETRANSMIT_IDENTICAL)
+    with pytest.raises(NumericalSingularity, match=re.escape(str(bad))):
+        ett_batch([path, replace(path, dynamics=bad)])
 
 
 def test_ett_batch_rejects_mismatched_paths():
