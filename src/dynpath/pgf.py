@@ -25,7 +25,7 @@ about K / (mean shortest length) with K = ceil(log eps / log|beta|); it
 stays near n when |beta| = 1 or most shortest lengths are 0, and the fill
 is then O(n^2).  ``ett_batch`` fills one buffer for many paths that share
 their lengths and model, one row per path, and builds one law per length
-over all their dynamics.
+with a column per path.
 
 The latency distribution does not use the beta form.  That would carry
 the series G_{i-1}(beta z) beside G_{i-1}(z) and add it with the signed
@@ -44,8 +44,9 @@ nonnegative, so nothing cancels.
 Every F_1 is rational in z, and ``link_law`` writes it once as a cascade
 of stages that are themselves PGFs with nonnegative coefficients:
 polynomials, and divisions by 1 - c(z) with c >= 0 and c(1) < 1.  A
-law's coefficients are arrays over a dynamics axis of size D, so one law
-serves every (p, q) of a sweep.  The same law is read three ways: F_1's
+law's coefficients are (J, D) arrays, one column per dynamics along an
+axis of size D, so one law serves every path of a batch, the (p, q)
+points of a sweep among them.  The same law is read three ways: F_1's
 values at powers of beta per dynamics, its slope at z = 1 (the mean delay)
 per dynamics and, for one dynamics, the product of one truncated series
 with F_1 as a linear recurrence, O(k) per stage.  The slope of a cascade
@@ -66,8 +67,9 @@ p^-m).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -98,16 +100,6 @@ def _stack(rows) -> np.ndarray:
     return out
 
 
-def _per_dyn(values: np.ndarray):
-    """A (D,) array of values per dynamics, or its one value as a float when D = 1."""
-    return values if values.size > 1 else float(values[0])
-
-
-def _rows(coeffs: np.ndarray) -> list:
-    """The rows of a (J, D) array, each as ``_per_dyn`` gives it."""
-    return coeffs[:, 0].tolist() if coeffs.shape[1] == 1 else list(coeffs)
-
-
 def _fsum_cols(rows: np.ndarray) -> np.ndarray:
     """``math.fsum`` down each column of a (J, D) array: one correctly rounded sum per dynamics."""
     return np.array([math.fsum(col) for col in rows.T.tolist()])
@@ -130,10 +122,11 @@ class LinkLaw:
     """A PGF written as a cascade of stages with nonnegative coefficients, per dynamics.
 
     A law holds one set of coefficients per dynamics, along an axis of size
-    D (1 where a stage does not depend on the dynamics); a coefficient is a
-    (D,) array, or a float when D = 1.  Every law has ``value(z)``, its
-    values on an (R, D) grid, column d holding the points of dynamics d
-    (for D = 1, on points of any shape, as floats times z would give);
+    D (1 where a stage does not depend on the dynamics): each stage keeps
+    its coefficients as the rows of a (J, D) array, at every D.  Every law
+    has ``value(z)``, its values on an (R, D) grid, column d holding the
+    points of dynamics d (for D = 1, on points of any shape, broadcast
+    against one row, so a constant law gives one row);
     ``at_one(gain)``, its value at z = 1 and ``gain`` times its slope
     there, per dynamics; and, for D = 1, ``apply(x)``, which multiplies
     ``x``, one truncated power series as a 1-D array, by it and returns
@@ -143,9 +136,9 @@ class LinkLaw:
     value and slope at 1 are formed once, as ``_one``.
     """
 
-    def at_one(self, gain=1.0):
-        value, slope = self._one
-        return value, gain * slope
+    def at_one(self, gain=None):
+        value, slope = self._one  # no gain: the slope itself, with no array product per call
+        return value, slope if gain is None else gain * slope
 
 
 class _Z(LinkLaw):
@@ -170,7 +163,7 @@ class _Poly(LinkLaw):
         a = _stack(a)
         if (a < 0.0).any():
             raise NumericalSingularity(f"polynomial stage with a negative coefficient: {a.tolist()}")
-        self.a, self.w, self._live = _rows(a), w, a.any(axis=1).tolist()
+        self.a, self.w, self._live = list(a), w, a.any(axis=1).tolist()
 
     def value(self, z):
         return _horner(self.a, self.w.value(z), self._live)
@@ -182,10 +175,10 @@ class _Poly(LinkLaw):
         return _horner(self.a, w1, self._live), _horner(da, w1, self._live[1:]) * slope
 
     def apply(self, x):
-        acc = self.a[-1] * x  # D = 1: the coefficients are floats
-        for ai in self.a[-2::-1]:
+        acc = self.a[-1] * x  # D = 1: each row is one coefficient
+        for ai, on in zip(self.a[-2::-1], self._live[-2::-1]):
             acc = self.w.apply(acc)
-            if ai:
+            if on:
                 acc += ai * x
         return acc
 
@@ -226,9 +219,9 @@ class _Iir(LinkLaw):
                 f"{dyns[d]}: 1/(1 - c(z)) with c = {self.c[:, d].tolist()}, "
                 f"1 - c(1) = {slack[d]} is not a nonnegative recurrence"
             )
-        self.slack = _per_dyn(slack)
+        self.slack = slack
         live = self.c.any(axis=1).tolist()
-        self._terms = [(j, cj) for j, cj in enumerate(_rows(self.c)) if live[j]]
+        self._terms = [(j, cj) for j, cj in enumerate(self.c) if live[j]]
 
     def value(self, z):
         den = self.slack
@@ -240,7 +233,7 @@ class _Iir(LinkLaw):
     @cached_property
     def _one(self):
         """1 / slack, and the slope as slope / m^2 with the power of 2 to scale it by."""
-        slope = _per_dyn(_fsum_cols(np.arange(len(self.c))[:, None] * self.c))
+        slope = _fsum_cols(np.arange(len(self.c))[:, None] * self.c)
         m, e = np.frexp(self.slack)
         return 1.0 / self.slack, slope / (m * m), -2 * e
 
@@ -283,13 +276,13 @@ class _Iir(LinkLaw):
 
 
 class _Sum(LinkLaw):
-    """Sum of cascades: each term is a tuple of laws applied in turn, () being 1."""
+    """Sum of cascades: each term is a nonempty tuple of laws applied in turn."""
 
     def __init__(self, *terms: tuple[LinkLaw, ...]):
         self.terms = terms
 
     def value(self, z):
-        return sum(math.prod(law.value(z) for law in term) for term in self.terms)
+        return sum(reduce(operator.mul, (law.value(z) for law in term)) for term in self.terms)
 
     @cached_property
     def _one(self):
@@ -309,10 +302,13 @@ class _Sum(LinkLaw):
             for law in term:
                 y = law.apply(y)
             if out is None:
-                out = y.copy() if y is x else y  # every law returns a new array
+                out = y  # every law returns a new array
             else:
                 out += y
         return out
+
+
+_ONE = _Poly((1.0,))
 
 
 @lru_cache(maxsize=32)  # one G_Y stage, and its blocks, per tuple of dynamics
@@ -331,12 +327,12 @@ def _retry(dyns: tuple[EdgeDynamics, ...], e, success: np.ndarray) -> LinkLaw:
     e = _stack(e)
     live = e.any(axis=0)
     if not live.any():
-        return _Sum(())
+        return _ONE
     p = np.array([dyn.p for dyn in dyns])
     pze = _stack([0.0, *(p * e)])
     c = pze.copy()
     c[1] += np.where(live, 1.0 - p, 0.0)
-    return _Sum((), (_Poly(pze), _Iir(c, np.where(live, p * success, 1.0), dyns)))
+    return _Sum((_ONE,), (_Poly(pze), _Iir(c, np.where(live, p * success, 1.0), dyns)))
 
 
 # ett_batch reads each length's law once per fill, and pmf once per link: one build while cached.
@@ -437,13 +433,13 @@ def ett_batch(paths) -> np.ndarray:
     most; links past a path's own R count its G_{i-1}(beta) as 0.  The fill
     costs O(n + R^2), R being about K / (mean shortest length) with K =
     ceil(log eps / log|beta|) (eps = 2^-54), or near n when |beta| = 1 or
-    most shortest lengths are 0.  Each length's law is fetched once, over
-    the batch's D distinct dynamics, and gives gamma1 = F_1'(1) and F_1 at
-    the powers of beta per dynamics; F_0 = G_Y F_1 there, with G_Y evaluated
-    once for all D; gamma0 = gamma1 + 1/p is never formed.  A length law
-    many links share as one object (as a parsed config's do) is hashed
-    once, and bits shared with the first path (as a sweep's are) are
-    converted once.
+    most shortest lengths are 0.  Each length's law is fetched once, its
+    dynamics axis being the batch's paths, one column each, and gives
+    gamma1 = F_1'(1) and F_1 at the powers of beta per path; F_0 = G_Y F_1
+    there, with G_Y evaluated once for all paths; gamma0 = gamma1 + 1/p is
+    never formed.  A length law many links share as one object (as a
+    parsed config's do) is hashed once, and bits shared with the first
+    path (as a sweep's are) are converted once.
     """
     paths = list(paths)
     if not paths:
@@ -453,14 +449,11 @@ def ett_batch(paths) -> np.ndarray:
         if path.n != first.n or path.model is not first.model or path.lengths != first.lengths:
             raise ValueError("paths in one batch must share n, model and per-link lengths")
     n, model = first.n, first.model
-    dyn_index: dict[EdgeDynamics, int] = {}
-    di = [dyn_index.setdefault(path.dynamics, len(dyn_index)) for path in paths]
-    dyns = tuple(dyn_index)
+    dyns = tuple(path.dynamics for path in paths)
     lengths, li = _distinct(first.lengths)
 
     m = len(paths)
-    per_dyn = np.array([(dyn.p, dyn.pi0, dyn.pi1, dyn.beta) for dyn in dyns]).T
-    p, pi0, pi1, beta = per_dyn[:, di]  # per path
+    p, pi0, pi1, beta = np.array([(dyn.p, dyn.pi0, dyn.pi1, dyn.beta) for dyn in dyns]).T
     x0 = np.array(first.x)  # converted once for the paths that share first's bits, as a sweep's do
     bits = np.array([x0 if path.x is first.x else path.x for path in paths])
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
@@ -469,21 +462,18 @@ def ett_batch(paths) -> np.ndarray:
     stop = _stop_rows(weight, np.abs(beta), min_len)
     rows = int(stop.max())
 
-    # gam1 per (length, dynamics); coef[0] is phi and coef[1] psi, per (length, dynamics, column k-1).
-    _, pi0_d, pi1_d, beta_d = per_dyn
-    zs = np.cumprod(np.full((max(rows - 1, 0), len(dyns)), beta_d), axis=0)  # row k-1: beta^k per dynamics
+    # gam1 per (length, path); coef[0] is phi and coef[1] psi, per (length, path, column k-1).
+    zs = np.cumprod(np.full((max(rows - 1, 0), m), beta), axis=0)  # row k-1: beta^k per path
     gy = _gy_law(dyns).value(zs)
-    gam1 = np.empty((len(lengths), len(dyns)))
-    coef = np.empty((2, len(lengths), len(dyns), max(rows - 1, 0)))
+    gam1 = np.empty((len(lengths), m))
+    coef = np.empty((2, len(lengths), m, max(rows - 1, 0)))
     for l, ld in enumerate(lengths):
         law = link_law(model, dyns, ld)
         gam1[l] = law.at_one()[1]
-        f1 = law.value(zs)  # a constant law gives a float or one row
+        f1 = law.value(zs)  # a constant law gives one row
         f0 = gy * f1
-        coef[0, l] = (pi0_d * f0 + pi1_d * f1).T
+        coef[0, l] = (pi0 * f0 + pi1 * f1).T
         coef[1, l] = (f0 - f1).T
-    if len(dyns) > 1:
-        gam1, coef = gam1[:, di], coef[:, :, di]
     coef_g, coef_shift = list(coef[0]), list(coef[1])
 
     g = np.ones((m, rows))  # G_0 = 1

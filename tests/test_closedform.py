@@ -3,11 +3,13 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dynpath.closedform import (
+    _MAX_GEOM_N_HAT,
     det_model2_time,
     det_traversal_time,
     max_geom_ett,
@@ -228,3 +230,28 @@ class TestMaxGeometric:
     def test_precision_limit_enforced(self):
         with pytest.raises(ConfigurationError):
             max_geom_ett(61, 0.5)
+
+    @staticmethod
+    def _exact(n_hat, p):
+        """The same alternating series in exact rationals, at the float p."""
+        stay = 1 - Fraction(p)
+        return sum(Fraction(math.comb(n_hat, i) * (-1) ** (i + 1)) / (1 - stay**i) for i in range(1, n_hat + 1))
+
+    @pytest.mark.parametrize("p", [1.0, 0.999, 0.5, 0.3, 0.05, 1e-3, 1e-6, 1e-12])
+    def test_matches_exact_sum_up_to_the_cap(self, p):
+        for n_hat in range(1, _MAX_GEOM_N_HAT + 1):
+            exact = self._exact(n_hat, p)
+            assert abs(Fraction(max_geom_ett(n_hat, p)) - exact) <= Fraction(1, 10**9) * exact
+
+    def test_cap_holds_between_the_grid_points(self):
+        # The error is largest near p = 0.9: the grid's p = 1 and 0.5 round no denominator.
+        rng = np.random.default_rng(2025)
+        ps = np.concatenate([rng.uniform(0.5, 1.0, 40), 10.0 ** rng.uniform(-15.0, 0.0, 20)])
+        for p in ps.tolist():
+            exact = self._exact(_MAX_GEOM_N_HAT, p)
+            assert abs(Fraction(max_geom_ett(_MAX_GEOM_N_HAT, p)) - exact) <= Fraction(1, 10**9) * exact
+
+    def test_cap_is_the_first_refused_n_hat(self):
+        max_geom_ett(_MAX_GEOM_N_HAT, 0.5)
+        with pytest.raises(ConfigurationError):
+            max_geom_ett(_MAX_GEOM_N_HAT + 1, 0.5)

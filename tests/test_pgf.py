@@ -39,7 +39,8 @@ def geom_pgf(p, z):
 def f0_f1(model, dyn, length, z):
     """(F_0(z), F_1(z)) of one link: F_1 from its law, F_0 = G_Y F_1."""
     f1 = link_law(model, (dyn,), length).value(np.asarray(z, dtype=float))
-    return geom_pgf(dyn.p, z) * f1, f1
+    f0 = geom_pgf(dyn.p, z) * f1
+    return f0, np.broadcast_to(f1, f0.shape)  # a constant law gives one row
 
 
 class TestGy:
@@ -462,7 +463,7 @@ def test_law_readers_agree():
         want = np.column_stack([np.broadcast_to(law.value(z), z.shape) for law, z in zip(one, grid.T)])
         assert np.array_equal(np.broadcast_to(wide.value(grid), grid.shape), want)
         for got, parts in zip(wide.at_one(), zip(*(law.at_one() for law in one))):
-            assert np.array_equal(np.broadcast_to(got, len(dyns)), parts)
+            assert np.array_equal(np.broadcast_to(got, len(dyns)), np.ravel(parts))
     assert kept >= 80
 
 
@@ -678,6 +679,19 @@ def test_sweep_batch_matches_single_paths(model):
     lengths = tuple(laws[k] for k in rng.integers(len(laws), size=300))
     base = PathSpec(tuple(rng.integers(0, 2, size=300).tolist()), lengths, EdgeDynamics(0.5, 0.3), model)
     paths = [replace(base, dynamics=EdgeDynamics(round(0.05 + 0.01 * i, 12), 0.3)) for i in range(91)]
+    batch = ett_batch(paths)
+    for row, path in zip(batch, paths):
+        assert np.array_equal(row, ett(path)[1])
+
+
+@pytest.mark.parametrize("model", list(FailureModel))
+def test_repeated_dynamics_batch_matches_single_paths(model):
+    # The shape of a validation batch: the 2^4 configurations at one (p, q),
+    # interleaved with the same configurations at a second (beta of the other
+    # sign), so every dynamics repeats along the batch.
+    lengths = (LengthDist.soa(), LengthDist.from_pairs([(0, 0.5), (2, 0.5)]), LengthDist.constant(3), LengthDist.soa())
+    dyns = (EdgeDynamics(0.3, 0.2), EdgeDynamics(0.7, 0.9))
+    paths = [PathSpec(x, lengths, dyn, model) for x in itertools.product((0, 1), repeat=4) for dyn in dyns]
     batch = ett_batch(paths)
     for row, path in zip(batch, paths):
         assert np.array_equal(row, ett(path)[1])
