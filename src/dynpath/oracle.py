@@ -383,7 +383,8 @@ class _AbsorbingChain:
         return out
 
 
-# Callers reuse a chain only across consecutive calls, so a few suffice.
+# Callers reuse a chain only across consecutive calls (validation's walk reads
+# one chain for a grid point's ETTs and then its pmfs), so a few suffice.
 @lru_cache(maxsize=8)
 def _chain(dynamics: EdgeDynamics, model: FailureModel, lengths: tuple[LengthDist, ...]):
     return _AbsorbingChain(dynamics, model, lengths)

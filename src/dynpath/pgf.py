@@ -25,7 +25,7 @@ about K / (mean shortest length) with K = ceil(log eps / log|beta|); it
 stays near n when |beta| = 1 or most shortest lengths are 0, and the fill
 is then O(n^2).  ``ett_batch`` fills one buffer for many paths that share
 their lengths and model, one row per path, and builds one law per length
-with a column per path.
+with a column per path, or one column for paths that share one dynamics.
 
 The latency distribution does not use the beta form.  That would carry
 the series G_{i-1}(beta z) beside G_{i-1}(z) and add it with the signed
@@ -434,12 +434,13 @@ def ett_batch(paths) -> np.ndarray:
     costs O(n + R^2), R being about K / (mean shortest length) with K =
     ceil(log eps / log|beta|) (eps = 2^-54), or near n when |beta| = 1 or
     most shortest lengths are 0.  Each length's law is fetched once, its
-    dynamics axis being the batch's paths, one column each, and gives
-    gamma1 = F_1'(1) and F_1 at the powers of beta per path; F_0 = G_Y F_1
-    there, with G_Y evaluated once for all paths; gamma0 = gamma1 + 1/p is
-    never formed.  A length law many links share as one object (as a
-    parsed config's do) is hashed once, and bits shared with the first
-    path (as a sweep's are) are converted once.
+    dynamics axis being the batch's paths, one column each, or one column
+    that broadcasts over them when they share one dynamics (the law ``pmf``
+    reads), and gives gamma1 = F_1'(1) and F_1 at the powers of beta per
+    path; F_0 = G_Y F_1 there, with G_Y evaluated once for all paths;
+    gamma0 = gamma1 + 1/p is never formed.  A length law many links share
+    as one object (as a parsed config's do) is hashed once, and bits shared
+    with the first path (as a sweep's are) are converted once.
     """
     paths = list(paths)
     if not paths:
@@ -450,6 +451,7 @@ def ett_batch(paths) -> np.ndarray:
             raise ValueError("paths in one batch must share n, model and per-link lengths")
     n, model = first.n, first.model
     dyns = tuple(path.dynamics for path in paths)
+    law_dyns = dyns[:1] if len(set(dyns)) == 1 else dyns  # one shared dynamics: one column for all
     lengths, li = _distinct(first.lengths)
 
     m = len(paths)
@@ -464,11 +466,11 @@ def ett_batch(paths) -> np.ndarray:
 
     # gam1 per (length, path); coef[0] is phi and coef[1] psi, per (length, path, column k-1).
     zs = np.cumprod(np.full((max(rows - 1, 0), m), beta), axis=0)  # row k-1: beta^k per path
-    gy = _gy_law(dyns).value(zs)
+    gy = _gy_law(law_dyns).value(zs)
     gam1 = np.empty((len(lengths), m))
     coef = np.empty((2, len(lengths), m, max(rows - 1, 0)))
     for l, ld in enumerate(lengths):
-        law = link_law(model, dyns, ld)
+        law = link_law(model, law_dyns, ld)
         gam1[l] = law.at_one()[1]
         f1 = law.value(zs)  # a constant law gives one row
         f0 = gy * f1

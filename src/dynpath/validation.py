@@ -5,7 +5,8 @@ and returns, as numbers, how many instances it ran and the worst
 deviation it saw.  ``run_validation`` (the ``dynpath validate`` command)
 turns them into report lines at the tolerances below; the acceptance
 suite runs the same checks against its own pinned tolerances, which its
-tests keep equal to these.
+tests keep equal to these.  The oracle grid is walked once: each grid
+point's ETT batch and its paths' pmfs meet one chain and one set of laws.
 """
 
 from __future__ import annotations
@@ -72,32 +73,26 @@ def _grid(n: int):
         yield [uniform_path(x, ld, dyn, model) for x in itertools.product((0, 1), repeat=n)]
 
 
-def oracle_equivalence(n: int, perturb: float = 0.0) -> tuple[int, float]:
-    """``ett_batch`` against ``exact_ett_dp`` on every n-link grid path.
+def oracle_equivalence(n: int, perturb: float = 0.0) -> tuple[int, float, tuple[float, float] | None]:
+    """``ett_batch``, and for n <= 4 ``pmf``, against the joint chain on every n-link grid path.
 
-    Returns (instances, worst relative error); ``perturb`` is added to each
-    analytic ETT first.
+    At each grid point the ETT batch of its 2^n paths and then each path's
+    pmf through degree 40 read one chain and one set of laws.  Returns
+    (instances, worst relative ETT error, pmf), pmf being (worst
+    coefficient error, worst |captured mass + tail mass - 1|) for n <= 4
+    and None above; ``perturb`` is added to each analytic ETT first.
     """
-    errs = []
+    errs, coeff, mass = [], [], []
     for paths in _grid(n):
         for path, total in zip(paths, ett_batch(paths)[:, -1].tolist()):
             exact = exact_ett_dp(path)
             errs.append(abs(total + perturb - exact) / max(1.0, abs(exact)))
-    return len(errs), max(errs)
-
-
-def distribution_equivalence(n: int, k: int = _PMF_K) -> tuple[int, float, float]:
-    """``pmf`` against ``exact_pmf_dp`` through degree k on every n-link grid path.
-
-    Returns (instances, worst coefficient error, worst |captured mass +
-    tail mass - 1|).
-    """
-    coeff, mass = [], []
-    for path in itertools.chain.from_iterable(_grid(n)):
-        series = pmf(path, k)
-        coeff.append(float(np.max(np.abs(series.coeffs - exact_pmf_dp(path, k)))))
-        mass.append(abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0))
-    return len(coeff), max(coeff), max(mass)
+        if n <= _PMF_MAX_N:
+            for path in paths:
+                series = pmf(path, _PMF_K)
+                coeff.append(float(np.max(np.abs(series.coeffs - exact_pmf_dp(path, _PMF_K)))))
+                mass.append(abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0))
+    return len(errs), max(errs), (max(coeff), max(mass)) if coeff else None
 
 
 def max_geometric_reduction() -> tuple[int, float]:
@@ -168,24 +163,18 @@ def deterministic_closed_forms(max_n: int) -> tuple[int, int]:
 
 
 def oracle_grid_checks(max_n: int, perturb: float = 0.0) -> list[CheckResult]:
-    """Report lines of ``oracle_equivalence`` for n = 1..max_n."""
-    out = []
+    """Report lines of ``oracle_equivalence`` for n = 1..max_n: ETT lines, then pmf lines."""
+    ett_lines, pmf_lines = [], []
     for n in range(1, max_n + 1):
-        count, worst = oracle_equivalence(n, perturb)
+        count, worst, dist = oracle_equivalence(n, perturb)
         detail = f"{count} instances, worst rel err {worst:.3e}"
-        out.append(CheckResult(f"oracle_equivalence_n{n}", worst <= REL_TOL_ETT, detail))
-    return out
-
-
-def pmf_grid_checks(max_n: int) -> list[CheckResult]:
-    """Report lines of ``distribution_equivalence`` for n = 1..min(max_n, 4)."""
-    out = []
-    for n in range(1, min(max_n, _PMF_MAX_N) + 1):
-        count, worst, mass = distribution_equivalence(n)
-        detail = f"{count} instances, worst coeff err {worst:.3e}, worst mass defect {mass:.3e}"
-        passed = worst <= ABS_TOL_PMF and mass <= ABS_TOL_MASS
-        out.append(CheckResult(f"distribution_equivalence_n{n}", passed, detail))
-    return out
+        ett_lines.append(CheckResult(f"oracle_equivalence_n{n}", worst <= REL_TOL_ETT, detail))
+        if dist is not None:
+            coeff, mass = dist
+            detail = f"{count} instances, worst coeff err {coeff:.3e}, worst mass defect {mass:.3e}"
+            passed = coeff <= ABS_TOL_PMF and mass <= ABS_TOL_MASS
+            pmf_lines.append(CheckResult(f"distribution_equivalence_n{n}", passed, detail))
+    return ett_lines + pmf_lines
 
 
 def reduction_checks() -> list[CheckResult]:
@@ -246,10 +235,10 @@ def eq1_discrepancy_table(max_n: int):
 def run_validation(max_n: int, inject_fault: bool = False) -> ValidationReport:
     """Run every validation family up to ``max_n`` links.
 
-    The oracle grid runs n <= max_n, the pmf grid n <= min(max_n, 4); the
-    closed-form reductions run their own fixed grids.  A ``max_n`` above
-    the exact engine's limit raises ConfigurationError before any check
-    runs.
+    One walk of the oracle grid checks the ETT for n <= max_n and the pmf
+    for n <= min(max_n, 4); the closed-form reductions run their own fixed
+    grids.  A ``max_n`` above the exact engine's limit raises
+    ConfigurationError before any check runs.
 
     ``inject_fault`` perturbs the analytic ETT before comparison; the run
     must then fail, which proves the harness can detect a broken build.
@@ -261,7 +250,6 @@ def run_validation(max_n: int, inject_fault: bool = False) -> ValidationReport:
         raise ConfigurationError(f"exact engine supports n <= {_MAX_N}, got {max_n}")
     perturb = 1e-3 if inject_fault else 0.0
     report.checks.extend(oracle_grid_checks(max_n, perturb=perturb))
-    report.checks.extend(pmf_grid_checks(max_n))
     report.checks.extend(reduction_checks())
     rows, check = eq1_discrepancy_table(max_n)
     report.eq1_rows = rows

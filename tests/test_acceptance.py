@@ -4,14 +4,18 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 report.  Tolerances are pinned here.  Criteria 1, 2, 4 and 5 run the
 checks of ``dynpath.validation``, the ones ``dynpath validate`` reports,
 and judge the numbers they return; ``tests/test_cli.py`` keeps the
-command's own tolerances equal to these.
+command's own tolerances equal to these.  Criteria 1 and 2 judge one
+walk of the oracle grid, shared by the module, and the ETT budget times
+that walk, pmf comparison included.
 """
 
 import itertools
 import time
 
 import numpy as np
+import pytest
 
+from dynpath import validation
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
 from dynpath.oracle import det_slot_time, mc_estimate
 from dynpath.pgf import ett, link_law, pmf
@@ -20,7 +24,6 @@ from dynpath.validation import (
     GRID_PQ,
     bernoulli_reduction,
     deterministic_closed_forms,
-    distribution_equivalence,
     eq1_discrepancy_table,
     max_geometric_reduction,
     oracle_equivalence,
@@ -34,6 +37,7 @@ REL_TOL_ETT = 1e-9
 ABS_TOL_PMF = 1e-10
 ABS_TOL_MASS = 1e-9
 TOL_REDUCTION = 1e-9
+PMF_K = 40  # last degree of the distribution comparison
 TOL_F1F0 = 1e-12
 TOL_GAMMA = 1e-9
 TOL_MODEL_EQUIV = 1e-10
@@ -48,18 +52,29 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def test_criterion_1_oracle_equivalence():
+@pytest.fixture(scope="module")
+def oracle_walk():
+    """One timed walk of the oracle grid, n = 1..5, with the pmf checked through n = 4."""
     start = time.perf_counter()
-    counts, worsts = zip(*(oracle_equivalence(n) for n in range(1, 6)))
-    count, worst = sum(counts), max(worsts)
-    elapsed = time.perf_counter() - start
+    rows = [oracle_equivalence(n) for n in range(1, 6)]
+    return rows, time.perf_counter() - start
+
+
+def test_criterion_1_oracle_equivalence(oracle_walk):
+    rows, elapsed = oracle_walk
+    count, worst = sum(row[0] for row in rows), max(row[1] for row in rows)
     ok = worst <= REL_TOL_ETT and elapsed <= BUDGET_ORACLE_S
     _report(1, "oracle equivalence", ok, f"{count} instances, worst rel err {worst:.3e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_distribution_equivalence():
-    counts, worsts, masses = zip(*(distribution_equivalence(n, k=40) for n in range(1, 5)))
-    count, worst, worst_mass = sum(counts), max(worsts), max(masses)
+def test_criterion_2_distribution_equivalence(oracle_walk):
+    assert validation._PMF_K == PMF_K
+    rows, _ = oracle_walk
+    checked = [(count, dist) for count, _, dist in rows if dist is not None]
+    assert len(checked) == 4  # n = 1..4
+    count = sum(count for count, _ in checked)
+    worst = max(dist[0] for _, dist in checked)
+    worst_mass = max(dist[1] for _, dist in checked)
     ok = worst <= ABS_TOL_PMF and worst_mass <= ABS_TOL_MASS
     _report(
         2,

@@ -14,6 +14,8 @@ import pytest
 
 import dynpath
 import dynpath.cli as cli
+import dynpath.oracle as oracle
+import dynpath.pgf as pgf
 import dynpath.validation as validation
 from dynpath.cli import RunConfig, _sweep_values, main, parse_config_text
 from dynpath.errors import ConfigurationError
@@ -405,12 +407,22 @@ class TestValidateCommand:
         def check_ran(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        for name in ("oracle_grid_checks", "pmf_grid_checks", "reduction_checks", "eq1_discrepancy_table"):
+        for name in ("oracle_grid_checks", "reduction_checks", "eq1_discrepancy_table"):
             monkeypatch.setattr(validation, name, check_ran)
         code, text = run_cli(["validate", "--max-n", "9"])
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err == "error: exact engine supports n <= 8, got 9\n"
+
+    def test_grid_builds_each_chain_and_law_once(self):
+        # One walk of the grid: a grid point's ETT batch and its pmfs share
+        # one chain and one law.  Walking it twice, with the batch's laws
+        # keyed on its repeated dynamics, builds 744, 966 and 70.
+        caches = (oracle._chain, pgf.link_law, pgf._gy_law)
+        for cached in caches:
+            cached.cache_clear()
+        validation.run_validation(2)
+        assert [cached.cache_info().misses for cached in caches] == [384, 416, 22]
 
     def test_tolerances_are_the_acceptance_suite_s(self):
         for name in ("REL_TOL_ETT", "ABS_TOL_PMF", "ABS_TOL_MASS", "TOL_REDUCTION"):

@@ -697,6 +697,22 @@ def test_repeated_dynamics_batch_matches_single_paths(model):
         assert np.array_equal(row, ett(path)[1])
 
 
+@pytest.mark.parametrize("model", list(FailureModel))
+def test_one_dynamics_batch_shares_its_laws_with_pmf(model):
+    # The shape of a validation grid point: every configuration at one (p, q),
+    # each path holding its own equal dynamics, then one of them's pmf.
+    lengths = (LengthDist.soa(), LengthDist.constant(3), LengthDist.soa())
+    paths = [PathSpec(x, lengths, EdgeDynamics(0.3, 0.2), model) for x in itertools.product((0, 1), repeat=3)]
+    link_law.cache_clear()
+    _gy_law.cache_clear()
+    batch = ett_batch(paths)
+    pmf(paths[5], 40)
+    assert link_law.cache_info().misses == 2  # one per distinct length
+    assert _gy_law.cache_info().misses == 1
+    for row, path in zip(batch, paths):
+        assert np.array_equal(row, ett(path)[1])
+
+
 def test_invalid_recurrence_names_its_dynamics():
     # (1 - q)^119 underflows at q = 0.999, so a length-120 attempt's success
     # weight, the slack of its retry recurrence, is 0.
