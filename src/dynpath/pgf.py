@@ -49,19 +49,28 @@ axis of size D, so one law serves every path of a batch, the (p, q)
 points of a sweep among them.  The same law is read three ways: F_1's
 values at powers of beta per dynamics, its slope at z = 1 (the mean delay)
 per dynamics and, for one dynamics, the product of one truncated series
-with F_1 as a linear recurrence, O(k) per stage.  The slope of a cascade
-is formed stage by stage with the product of the stages before it carried
-in, so a stage's own slope, about 1/p^2 for the geometric wait, never has
-to be representable on its own.  A
-recurrence of order r runs in blocks of B = 64 coefficients, with one
-loop of it giving a block's Toeplitz map of its inputs and its carry of
-the r outputs the blocks before it leave; a doubling scan over blocks
-(Kogge & Stone 1973) hands each block that state in ceil(log2(k/B))
-vectorised steps of r x r products.  A recurrence with nonnegative
-coefficients, scan included, adds and never cancels, so rounding error
-stays relative to the coefficients it produces; one common denominator
-per law would not (expanding (1 - (1-p) z)^m amplifies rounding by about
-p^-m).
+with F_1 as a linear recurrence.  The slope of a cascade is formed stage
+by stage with the product of the stages before it carried in, so a
+stage's own slope, about 1/p^2 for the geometric wait, never has to be
+representable on its own.
+
+A series is carried as its live prefix, up to its last nonzero
+coefficient.  A polynomial stage widens it by its degree.  A division by
+1 - c(z) (r = deg c) runs on past it until r outputs in a row fall below
+2^-1022, the smallest normal double, and sets them and every later output
+to 0.  Past its input, each output is at most c(1) < 1 times the largest
+of the r before it, so every output set to 0 is below 2^-1022: the cut
+loses less than 2^-1022 per coefficient, where no value had relative
+accuracy anyway.  A stage costs O(w) for a window of w coefficients, at
+least min(k + 1, 2048) for a division, rather than O(k).  A recurrence of
+order r runs in blocks of B = 64 coefficients, with one loop of it
+giving a block's Toeplitz map of its inputs and its carry of the r
+outputs the blocks before it leave; a doubling scan over blocks (Kogge &
+Stone 1973) hands each block that state in ceil(log2(w/B)) vectorised
+steps of r x r products.  A recurrence with nonnegative coefficients,
+scan included, adds and never cancels, so rounding error stays relative
+to the coefficients it produces; one common denominator per law would not
+(expanding (1 - (1-p) z)^m amplifies rounding by about p^-m).
 """
 
 from __future__ import annotations
@@ -82,6 +91,40 @@ _DEN_FLOOR = 1e-300
 _PMF_MAX_K = 10_000_000
 _BLOCK = 64  # coefficients per block of the blocked IIR recurrence
 _EPS = 2.0**-54  # the rows the table drops move the ETT by at most _EPS of it
+_TINY = 2.0**-1022  # the smallest normal double: a filter's output is 0 from its first r in a row below it
+_MIN_BLOCKS = 32  # a filter spans at least this many blocks, where BLAS gives the full series' bits
+_MARGIN_BLOCKS = 4  # a filter's first try runs this many blocks past its input
+
+
+def _live(x: np.ndarray) -> int:
+    """1 + the index of the last nonzero coefficient of x, 0 if there is none."""
+    if x.size and x[-1] != 0.0:
+        return x.size
+    nonzero = np.flatnonzero(x)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for two live prefixes, new arrays both, written into the longer one."""
+    if a.size == b.size:  # the common case, without a slice
+        a += b
+        return a
+    if a.size < b.size:
+        a, b = b, a
+    a[: b.size] += b
+    return a
+
+
+def _quiet_from(y: np.ndarray, lo: int, r: int) -> int | None:
+    """The first t >= lo with y[t : t + r] all below _TINY, or None."""
+    quiet = y[lo:] < _TINY
+    if quiet.size < r:
+        return None
+    run = quiet[: quiet.size - r + 1].copy()
+    for j in range(1, r):
+        run &= quiet[j : j + run.size]
+    t = int(run.argmax())
+    return lo + t if run[t] else None
 
 
 def _guard_den(den) -> None:
@@ -128,9 +171,11 @@ class LinkLaw:
     points of dynamics d (for D = 1, on points of any shape, broadcast
     against one row, so a constant law gives one row);
     ``at_one(gain)``, its value at z = 1 and ``gain`` times its slope
-    there, per dynamics; and, for D = 1, ``apply(x)``, which multiplies
-    ``x``, one truncated power series as a 1-D array, by it and returns
-    the product as a new array of the same length.  A cascade passes the
+    there, per dynamics; and, for D = 1, ``apply(x, size)``, which
+    multiplies ``x``, the live prefix of a power series truncated at
+    ``size`` coefficients (0 past x), by it and returns the live prefix of
+    the product, a new array of at most ``size`` coefficients, cut as the
+    module docstring says.  A cascade passes the
     product of the stages before it as the gain, so a stage whose own slope
     would overflow forms only the product, which the ETT adds up.  A law's
     value and slope at 1 are formed once, as ``_one``.
@@ -149,10 +194,10 @@ class _Z(LinkLaw):
     def value(self, z):
         return z
 
-    def apply(self, x):
-        out = np.empty_like(x)
+    def apply(self, x, size):
+        out = np.empty(min(x.size + 1, size))
         out[0] = 0.0
-        out[1:] = x[:-1]
+        out[1:] = x[: out.size - 1]
         return out
 
 
@@ -174,12 +219,12 @@ class _Poly(LinkLaw):
         da = [i * ai for i, ai in enumerate(self.a)][1:] or [0.0]
         return _horner(self.a, w1, self._live), _horner(da, w1, self._live[1:]) * slope
 
-    def apply(self, x):
+    def apply(self, x, size):
         acc = self.a[-1] * x  # D = 1: each row is one coefficient
         for ai, on in zip(self.a[-2::-1], self._live[-2::-1]):
-            acc = self.w.apply(acc)
+            acc = self.w.apply(acc, size)
             if on:
-                acc += ai * x
+                acc = _add(acc, ai * x)
         return acc
 
 
@@ -207,6 +252,18 @@ class _Iir(LinkLaw):
     A once per step.  A, its powers and the carry are nonnegative, so every
     addend is a nonnegative multiple of the input and the scan never
     cancels.
+
+    ``apply`` filters the input's live prefix and _MARGIN_BLOCKS blocks
+    past it, at least _MIN_BLOCKS = 32 blocks, and cuts the output at the
+    first r outputs in a row below _TINY past the input.  When the margin
+    holds no such run, its last r outputs bound the rest: j r steps on,
+    every output is at most c(1)^j times their largest, so the next try
+    runs to where that falls below _TINY, or to the end of the series.  A
+    shorter try must give the whole series' bits, and BLAS picks its
+    kernel by row count: on the build measured, rows of a product of 32
+    rows or more got the bits they get in any longer product, but the
+    scan's r x r products needed up to 37 rows at r = 32.  So a recurrence
+    with 2r >= B always runs on the whole series.
     """
 
     def __init__(self, c, slack, dyns):
@@ -256,13 +313,35 @@ class _Iir(LinkLaw):
             y[r + t, t] += 1.0
         return y[r:, :width], y[r:, width:]
 
-    def apply(self, x):
+    def apply(self, x, size):
+        live = _live(x)
+        if live == size:  # no output past the input to cut
+            return self._filter(x, size)
+        if not live:
+            return np.zeros(0)
+        width, r = self._blocks[1].shape
+        if 2 * r >= _BLOCK:  # a wide recurrence runs on the whole series (class docstring)
+            n = size
+        else:
+            n = min(size, max(_MIN_BLOCKS * width, live + _MARGIN_BLOCKS * width))
+        while True:
+            y = self._filter(x[:live], n)
+            cut = _quiet_from(y, live, r)
+            if cut is not None or n == size:
+                return y[:cut]
+            # Past the input, each output is at most c(1) times the largest
+            # of the r before it, so the quiet run starts by the step where
+            # c(1)^j times the last r outputs' largest drops below _TINY.
+            decay = math.log(_TINY / y[-r:].max()) / math.log1p(-float(self.slack[0]))
+            n = min(size, n + r * (int(decay) + 1) + width)
+
+    def _filter(self, x, n):
+        """The first n outputs for input x (shorter than n, zeros after it), by blocks."""
         toeplitz, carry = self._blocks
         width, r = carry.shape
-        n = x.size
         nb = -(-n // width)
         padded = np.zeros(nb * width)
-        padded[:n] = x
+        padded[: x.size] = x
         y = padded.reshape(nb, width) @ toeplitz.T
         # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
         # A^i u_{b-i} over i < 2d.  The last block's state is never read.
@@ -295,16 +374,13 @@ class _Sum(LinkLaw):
             total, slope = total + v, slope + d
         return total, slope
 
-    def apply(self, x):
+    def apply(self, x, size):
         out = None
         for term in self.terms:
             y = x
             for law in term:
-                y = law.apply(y)
-            if out is None:
-                out = y  # every law returns a new array
-            else:
-                out += y
+                y = law.apply(y, size)
+            out = y if out is None else _add(out, y)  # every law returns a new array
         return out
 
 
@@ -518,7 +594,13 @@ def ett(path: PathSpec) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class TruncatedPmf:
-    """Latency probabilities Pr(T = t) for t = 0..K plus the unaccounted tail."""
+    """Latency probabilities Pr(T = t) for t = 0..K plus the unaccounted tail.
+
+    ``pmf`` sets to 0 the outputs of a division stage from its first r in
+    a row below 2^-1022 past its input on (module docstring).  Each held
+    less than 2^-1022 and every later stage has total mass at most 1, so
+    a coefficient moves by less than 2^-1022 per output cut.
+    """
 
     coeffs: np.ndarray
     tail_mass: float
@@ -547,8 +629,12 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     P(x_i -> 0, .))) on one truncated power series g = G_{i-1} (module
     docstring): the part of g that finds link i off goes through G_Y's
     stages, the sum through the link's ``link_law``.  Every factor and
-    stage is nonnegative, so a link costs O(k) per stage and its sums never
-    cancel.  When ``k`` is omitted it defaults to ceil(20 * (ett + 1)).
+    stage is nonnegative, so its sums never cancel.  g is carried as its
+    live prefix, so a link costs O(w) per stage for a window of w
+    coefficients (at least min(k + 1, 2048) for a division stage), the P
+    vectors are formed at most a quarter past the widest window, and the
+    result is padded back to k + 1 coefficients.  When ``k`` is omitted it defaults
+    to ceil(20 * (ett + 1)).
     """
     if k is None:
         total, _ = ett(path)
@@ -560,14 +646,28 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     dyn = path.dynamics
     dyns = (dyn,)
     gy_law = _gy_law(dyns)
-    ts = np.arange(k + 1)
-    # found[x] = (P(x -> 0, t), P(x -> 1, t)) for t = 0..k: a link started in x found off, on
-    found = [(transient_prob(dyn, x, 0, ts), transient_prob(dyn, x, 1, ts)) for x in (0, 1)]
-    g = np.zeros(k + 1)
-    g[0] = 1.0
+    size = k + 1
+    hi = min(size, _MIN_BLOCKS * _BLOCK)
+    found = _found(dyn, 0, hi)
+    g = np.ones(1)  # the live prefix of G_0 = 1
     for xi, ld in zip(path.x, path.lengths):
-        off, on = found[xi]
-        start = gy_law.apply(g * off)  # the time the packet starts to cross link i:
-        start += g * on  # after G_Y's wait, or at once
-        g = link_law(path.model, dyns, ld).apply(start)
-    return TruncatedPmf.from_coeffs(g)
+        n = g.size
+        if n > hi:
+            lo, hi = hi, min(size, max(n, hi + hi // 4))  # a quarter more: few calls, little past n
+            found = [np.concatenate(pair) for pair in zip(found, _found(dyn, lo, hi))]
+        off, on = found[2 * xi][:n], found[2 * xi + 1][:n]
+        start = gy_law.apply(g * off, size)  # the time the packet starts to cross link i:
+        start = _add(start, g * on)  # after G_Y's wait, or at once
+        g = link_law(path.model, dyns, ld).apply(start, size)
+    coeffs = np.zeros(size)
+    coeffs[: g.size] = g
+    return TruncatedPmf.from_coeffs(coeffs)
+
+
+def _found(dyn: EdgeDynamics, lo: int, hi: int) -> list[np.ndarray]:
+    """P(0 -> 0, t), P(0 -> 1, t), P(1 -> 0, t), P(1 -> 1, t) for t = lo..hi-1.
+
+    Entry 2x is a link started in x found off, entry 2x + 1 found on.
+    """
+    ts = np.arange(lo, hi)
+    return [transient_prob(dyn, x, b, ts) for x in (0, 1) for b in (0, 1)]

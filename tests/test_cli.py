@@ -251,6 +251,17 @@ class TestPmfCommand:
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
 
+    def test_csv_pads_a_short_window_to_k(self, tmp_path):
+        # The latency lives on t < 400 or so; its rows still run to k, then the tail.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.9\nq = 0.1\nmodel = cant_start\nedge = 1 1\nedge = 0 2\n")
+        code, text = run_cli(["pmf", "--config", str(cfg), "--k", "3000", "--format", "csv"])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "t,prob"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(3001)] + ["tail"]
+        assert lines[-2] == "3000,0"
+
     def test_instant_traversal(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("p = 0.5\nq = 0.5\nmodel = cant_start\nedge = 1 0\n")

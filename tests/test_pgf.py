@@ -8,17 +8,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import ABS_TOL_MASS, ABS_TOL_PMF, REL_TOL_ETT
 
 from dynpath.closedform import max_geom_ett, steady_ett
 from dynpath.errors import InfiniteExpectation, NumericalSingularity
 from dynpath import pgf as pgf_module
-from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, uniform_path
+from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, transient_prob, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import TruncatedPmf, ett, ett_batch, link_law, pmf
-from dynpath.pgf import _gy_law, _Iir, _Poly
+from dynpath.pgf import _gy_law, _Iir, _Poly, _Sum, _Z
 
 ALL_LENGTHS = [
     LengthDist.cut(),
@@ -428,8 +428,9 @@ def test_iir_apply_matches_plain_recurrence(order, slack):
     want = _plain_recurrence(c, x)
     for n in (1, 63, 64, 65, longest, 129):
         for row, want_row in zip(x, want):
-            got = law.apply(row[:n])
-            assert got.shape == (n,)
+            got = law.apply(row[:n], n)  # the live prefix, 0 past it
+            assert got.size <= n
+            got = np.concatenate((got, np.zeros(n - got.size)))
             assert np.all(got >= 0.0)
             assert np.all(np.abs(got - want_row[:n]) <= 1e-12 * want_row[:n])
 
@@ -448,13 +449,13 @@ def test_law_readers_agree():
         dyns = tuple(EdgeDynamics(p, q) for p, q in pqs)
         for dyn in dyns:
             law = link_law(model, (dyn,), length)
-            series = law.apply(impulse)
+            series = law.apply(impulse, k + 1)  # the live prefix
             if 1.0 - math.fsum(series.tolist()) > 1e-12:
                 continue
             kept += 1
             at_zs = np.polynomial.polynomial.polyval(zs, series)
             np.testing.assert_allclose(at_zs, law.value(zs), rtol=1e-12, atol=0)
-            slope = math.fsum((np.arange(k + 1) * series).tolist())
+            slope = math.fsum((np.arange(series.size) * series).tolist())
             assert slope == pytest.approx(law.at_one()[1], rel=1e-12)
         # The law over all five dynamics reads as the five one-dynamics laws, bit for bit.
         grid = np.column_stack([[0.3**j for j in range(1, 6)], *([zs] * (len(dyns) - 1))])
@@ -512,6 +513,112 @@ def test_pmf_heterogeneous_paths_match_forward_propagation(model, p, q, links):
     exact = exact_pmf_dp(path, 30)
     assert np.max(np.abs(series.coeffs - exact)) <= ABS_TOL_PMF
     assert abs(math.fsum(series.coeffs.tolist()) + series.tail_mass - 1.0) <= ABS_TOL_MASS
+
+
+def _full_apply(law, x):
+    """``law`` times the whole series x, each _Iir stage cut at its first quiet run.
+
+    A stage's quiet run is r outputs in a row below 2^-1022 past the last
+    nonzero coefficient of its input, r being the stage's order; the
+    stage's output is set to 0 from the run's first coefficient on.
+    """
+    if isinstance(law, _Z):
+        return np.concatenate(([0.0], x[:-1]))
+    if isinstance(law, _Poly):
+        acc = law.a[-1] * x
+        for ai in law.a[-2::-1]:
+            acc = _full_apply(law.w, acc) + ai * x  # adding 0 * x keeps every bit
+        return acc
+    if isinstance(law, _Sum):
+        outs = []
+        for term in law.terms:
+            y = x
+            for stage in term:
+                y = _full_apply(stage, y)
+            outs.append(y)
+        return sum(outs[1:], outs[0])
+    y = law._filter(x, x.size)
+    r = law.c.shape[0] - 1
+    nonzero = np.flatnonzero(x)
+    live = nonzero[-1] + 1 if nonzero.size else 0
+    if x.size - live >= r:
+        quiet = np.lib.stride_tricks.sliding_window_view(y[live:] < 2.0**-1022, r).all(axis=1)
+        runs = np.flatnonzero(quiet)
+        if runs.size:
+            y[live + runs[0] :] = 0.0
+    return y
+
+
+def _full_series_pmf(path, k):
+    """pmf's recursion on whole (k + 1)-coefficient series, with the stage cut of ``_full_apply``."""
+    dyn, ts = path.dynamics, np.arange(k + 1)
+    g = np.zeros(k + 1)
+    g[0] = 1.0
+    for xi, ld in zip(path.x, path.lengths):
+        start = _full_apply(_gy_law((dyn,)), g * transient_prob(dyn, xi, 0, ts))
+        g = _full_apply(link_law(path.model, (dyn,), ld), start + g * transient_prob(dyn, xi, 1, ts))
+    return g
+
+
+# beta = 1 - p - q near -1, negative, 0.94 (slow mixing: every window
+# reaches k) and 0.3 (fast: a short path's window stays far below k)
+_WINDOW_PQ = [(0.999, 0.999), (1.0, 0.98), (0.8, 0.5), (0.05, 0.01), (0.4, 0.3)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    model=st.sampled_from(list(FailureModel)),
+    pq=st.sampled_from(_WINDOW_PQ),
+    links=st.lists(st.tuples(st.integers(0, 1), _length_dists()), min_size=1, max_size=6),
+    k=st.one_of(st.sampled_from([64, 2047, 2048, 2049, 6620]), st.integers(1, 7000)),
+)
+@example(FailureModel.RESUME, (0.4, 0.3), [(0, LengthDist.constant(3))] * 5, 6620)  # short window
+@example(FailureModel.CANT_START, (0.8, 0.5), [(0, LengthDist.constant(3))] * 3, 6620)  # about 8 dense blocks
+@example(FailureModel.RESUME, (0.05, 0.01), [(0, LengthDist.constant(3))] * 5, 6620)  # reaches k
+@example(FailureModel.RETRANSMIT_IDENTICAL, (1.0, 0.001), [(1, LengthDist.constant(32))], 6620)  # order 32
+def test_windowed_pmf_matches_full_series_with_the_same_cut(model, pq, links, k):
+    # pmf runs each stage on its input's live window only, at least 32
+    # blocks wide, and an _Iir stage stops at its first quiet run; that
+    # must give the bits of every stage run over all k + 1 coefficients.
+    x, lengths = zip(*links)
+    path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(*pq), model)
+    if _never_crossed(model, pq[1], lengths):
+        return
+    assert np.array_equal(pmf(path, k).coeffs, _full_series_pmf(path, k))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 31])
+def test_filter_of_32_blocks_keeps_the_full_series_bits(order):
+    # A window of _MIN_BLOCKS blocks or more is a prefix of the full series
+    # only if BLAS gives a row of each block product the bits it has in a
+    # longer product; a BLAS build where it does not must fail here.
+    rng = np.random.default_rng(order)
+    c = np.concatenate(([0.0], rng.random(order)))
+    c[1:] *= 0.9 / math.fsum(c)
+    law = _Iir(c, 1.0 - math.fsum(c), ("c",))
+    x = rng.random(6621) * 0.1 ** rng.integers(0, 300, size=6621)
+    full = law.apply(x, x.size)
+    assert pgf_module._MIN_BLOCKS * pgf_module._BLOCK == 2048 and full.size == x.size
+    for n in (2048, 2049, 2048 + 2 * 64, 4096 + 2 * 64):  # 34 and 66 blocks: a 1-row scan step
+        assert np.array_equal(law.apply(x[:n], n), full[:n])
+
+
+def test_pmf_work_follows_the_live_window(monkeypatch):
+    # pmf_n100's shape: 100 resume links at p = 0.4, q = 0.3, k = 6,620.  Its
+    # series live on about a third of the k + 1 coefficients, and the
+    # _Iir stages must see and filter about that much, not all of them.
+    rng = np.random.default_rng(100)
+    lengths = tuple(ALL_LENGTHS[j] for j in rng.integers(len(ALL_LENGTHS), size=100))
+    path = PathSpec(tuple(rng.integers(0, 2, size=100).tolist()), lengths, EdgeDynamics(0.4, 0.3), FailureModel.RESUME)
+    k = 6620
+    inputs, widths = [], []
+    apply, filter_ = _Iir.apply, _Iir._filter
+    monkeypatch.setattr(_Iir, "apply", lambda law, x, size: inputs.append(x.size) or apply(law, x, size))
+    monkeypatch.setattr(_Iir, "_filter", lambda law, x, n: widths.append(n) or filter_(law, x, n))
+    pmf(path, k)
+    full = len(inputs) * (k + 1)
+    assert sum(inputs) <= 0.45 * full
+    assert sum(widths) <= 0.45 * full
 
 
 # p and q this close to 0 or 1 leave each slot an escape probability near
