@@ -100,25 +100,20 @@ def _parse_length(parts: list[str], rest: str) -> LengthDist:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _parse_edge(rest: str, laws: dict[str, LengthDist]) -> tuple[int, LengthDist]:
-    """Parse one edge; ``laws`` maps each length text already seen to its law."""
+def _parse_edge(rest: str) -> tuple[int, LengthDist]:
+    """Parse one edge's value, ``<initial bit> <length>``, into the bit and a new law."""
     parts = rest.split()
     if len(parts) < 2:
         raise ConfigurationError(f"edge needs an initial state and a length: {rest!r}")
     if parts[0] not in ("0", "1"):
         raise ConfigurationError(f"edge initial state must be 0 or 1, got {parts[0]!r}")
-    key = " ".join(parts[1:])
-    law = laws.get(key)
-    if law is None:
-        law = laws[key] = _parse_length(parts[1:], rest)
-    return int(parts[0]), law
+    return int(parts[0]), _parse_length(parts[1:], rest)
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse the key-value configuration format; unknown keys are rejected."""
     scalars: dict[str, object] = {}
     edges: list[tuple[int, LengthDist]] = []
-    laws: dict[str, LengthDist] = {}
     parsed: dict[str, tuple[int, LengthDist]] = {}  # each distinct edge line, parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         edge = parsed.get(raw)
@@ -133,7 +128,7 @@ def parse_config_text(text: str) -> RunConfig:
             continue
         if key == "edge":
             try:
-                edge = parsed[raw] = _parse_edge(value, laws)
+                edge = parsed[raw] = _parse_edge(value)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"line {lineno}: {exc}") from None
             edges.append(edge)
@@ -219,8 +214,8 @@ def cmd_simulate(cfg: RunConfig, hist_path: str, out) -> int:
     try:
         with open(hist_path, "w", encoding="utf-8") as fh:
             fh.write("t,count\n")
-            for t in sorted(result.histogram):
-                fh.write(f"{t},{result.histogram[t]}\n")
+            ts = sorted(result.histogram)
+            _write_rows(fh, "%d,%d\n", ts, [result.histogram[t] for t in ts])
     except OSError as exc:
         raise ConfigurationError(f"cannot write histogram {hist_path}: {exc}") from exc
     out.write(f"mean = {_fmt(result.mean)}\n")
@@ -241,10 +236,7 @@ def cmd_validate(max_n: int, inject_fault: bool, out) -> int:
     if report.eq1_rows:
         out.write("eq1_discrepancy_table:\n")
         out.write("n,p,q,D,max_abs_dev,t_at_max,printed_at_D,exact_at_D\n")
-        for n, p, q, big_d, dev, t_at, pd, ed in report.eq1_rows:
-            out.write(
-                f"{n},{_fmt(p)},{_fmt(q)},{big_d},{_fmt(dev)},{t_at},{_fmt(pd)},{_fmt(ed)}\n"
-            )
+        _write_rows(out, "%d,%.12g,%.12g,%d,%.12g,%d,%.12g,%.12g\n", *zip(*report.eq1_rows))
     out.write(f"result = {'pass' if report.passed else 'FAIL'}\n")
     return 0 if report.passed else 1
 

@@ -157,12 +157,8 @@ def mc_estimate(path: PathSpec, samples: int, seed: int) -> SimResult:
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(_thread_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda a: _simulate_chunk(path, a[0], a[1]), zip(sizes, seqs)))
-    else:
-        parts = [_simulate_chunk(path, m, ss) for m, ss in zip(sizes, seqs)]
+    with ThreadPoolExecutor(max_workers=min(_thread_count(), len(sizes))) as pool:
+        parts = list(pool.map(lambda m, ss: _simulate_chunk(path, m, ss), sizes, seqs))
     values, counts = np.unique(np.concatenate(parts), return_counts=True)
     hist = {int(v): int(c) for v, c in zip(values, counts)}
     mean = float(np.dot(values, counts) / samples)

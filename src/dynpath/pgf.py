@@ -76,9 +76,8 @@ to the coefficients it produces; one common denominator per law would not
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,9 +105,6 @@ def _live(x: np.ndarray) -> int:
 
 def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a + b for two live prefixes, new arrays both, written into the longer one."""
-    if a.size == b.size:  # the common case, without a slice
-        a += b
-        return a
     if a.size < b.size:
         a, b = b, a
     a[: b.size] += b
@@ -263,7 +259,9 @@ class _Iir(LinkLaw):
     kernel by row count: on the build measured, rows of a product of 32
     rows or more got the bits they get in any longer product, but the
     scan's r x r products needed up to 37 rows at r = 32.  So a recurrence
-    with 2r >= B always runs on the whole series.
+    with 2r >= B always runs on the whole series: a window gives the whole
+    series' bits at the same k, but at k + 1 <= 1,152 (18 rows or fewer)
+    ``pmf(path, k)`` need not be a bit-prefix of a larger k's result.
     """
 
     def __init__(self, c, slack, dyns):
@@ -315,8 +313,6 @@ class _Iir(LinkLaw):
 
     def apply(self, x, size):
         live = _live(x)
-        if live == size:  # no output past the input to cut
-            return self._filter(x, size)
         if not live:
             return np.zeros(0)
         width, r = self._blocks[1].shape
@@ -361,7 +357,7 @@ class _Sum(LinkLaw):
         self.terms = terms
 
     def value(self, z):
-        return sum(reduce(operator.mul, (law.value(z) for law in term)) for term in self.terms)
+        return sum(math.prod(law.value(z) for law in term) for term in self.terms)
 
     @cached_property
     def _one(self):
@@ -484,9 +480,9 @@ def _stop_rows(weight: np.ndarray, abs_beta: np.ndarray, min_len: np.ndarray) ->
 def _distinct(items: list) -> tuple[tuple, np.ndarray]:
     """The distinct items in first-seen order, and each item's position among them.
 
-    Items are grouped by identity first, so an object shared by many
-    positions is hashed and compared once, and the groups are then merged by
-    equality.
+    Items are grouped by identity first, so an object at many positions is
+    hashed and compared once, and then by equality, so equal objects share
+    one entry whether or not they are one object.
     """
     ids = list(map(id, items))
     first: dict = {}
@@ -514,9 +510,9 @@ def ett_batch(paths) -> np.ndarray:
     that broadcasts over them when they share one dynamics (the law ``pmf``
     reads), and gives gamma1 = F_1'(1) and F_1 at the powers of beta per
     path; F_0 = G_Y F_1 there, with G_Y evaluated once for all paths;
-    gamma0 = gamma1 + 1/p is never formed.  A length law many links share
-    as one object (as a parsed config's do) is hashed once, and bits shared
-    with the first path (as a sweep's are) are converted once.
+    gamma0 = gamma1 + 1/p is never formed.  Repeated length laws and bit
+    tuples, equal or one object, are found by ``_distinct`` and each
+    distinct one is converted once.
     """
     paths = list(paths)
     if not paths:
@@ -532,8 +528,8 @@ def ett_batch(paths) -> np.ndarray:
 
     m = len(paths)
     p, pi0, pi1, beta = np.array([(dyn.p, dyn.pi0, dyn.pi1, dyn.beta) for dyn in dyns]).T
-    x0 = np.array(first.x)  # converted once for the paths that share first's bits, as a sweep's do
-    bits = np.array([x0 if path.x is first.x else path.x for path in paths])
+    xs, xi = _distinct([path.x for path in paths])
+    bits = np.array(xs)[xi]
     chi = np.where(bits == 1, -pi0[:, None], pi1[:, None]).T  # chi_i = pi1 (1 - x_i) - pi0 x_i
     weight = np.abs(chi) / p  # |gamma0 - gamma1| |chi_i|: how much of G_{i-1}(beta) the ETT takes
     min_len = np.array([min(ld.values) for ld in lengths])[li]
@@ -610,7 +606,7 @@ class TruncatedPmf:
         """Wrap probabilities; a negative or non-finite one raises NumericalSingularity."""
         if not np.all(np.isfinite(coeffs) & (coeffs >= 0.0)):
             raise NumericalSingularity("a latency probability is negative or not finite")
-        tail = 1.0 - math.fsum(coeffs.tolist())
+        tail = 1.0 - math.fsum(coeffs[: _live(coeffs)].tolist())  # the zeros past it add nothing
         return cls(coeffs=coeffs, tail_mass=tail)
 
     @property

@@ -148,14 +148,18 @@ sweep_step = 0.2
             parse_config_text(text)
 
     def test_edges_share_one_law_per_length_text(self):
-        # repeated lines, and lines that differ in spacing or comments only
+        # Lines that differ in bit, spacing or comment give equal laws; a
+        # repeated raw line is parsed once, so its edges hold one object.
         variants = ["edge = 1 pmf 0:0.5 2:0.5", "edge = 0 pmf  0:0.5 2:0.5",
                     "edge = 1 pmf 0:0.5 2:0.5  # again", "edge =   1   pmf 0:0.5   2:0.5"]
         cfg = parse_config_text(BASIC + "\n".join(variants * 3) + "\n")
         laws = cfg.path.lengths
-        assert laws[0] is laws[1]
-        assert len(laws) == 14 and all(law is laws[2] for law in laws[2:])
-        assert cfg.path.x[2:] == (1, 0, 1, 1) * 3
+        assert laws[0] == laws[1] == LengthDist.constant(0)
+        assert len(laws) == 14 and all(law == laws[2] for law in laws[2:])
+        assert laws[2] == LengthDist.from_pairs([(0, 0.5), (2, 0.5)])
+        for i in range(len(variants)):
+            assert laws[2 + i] is laws[6 + i] is laws[10 + i]
+        assert cfg.path.x == (1, 0) + (1, 0, 1, 1) * 3
 
 
 class TestEttCommand:

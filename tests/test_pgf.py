@@ -689,6 +689,15 @@ def test_from_coeffs_rejects_negative_or_non_finite(bad):
         TruncatedPmf.from_coeffs(np.array([0.5, bad, 0.25]))
 
 
+def test_tail_mass_of_a_short_window_sums_every_coefficient():
+    # The series dies out long before k, so from_coeffs sums only up to its
+    # last nonzero coefficient; the zeros after it would add nothing.
+    path = uniform_path((1, 0, 1), LengthDist.soa(), EdgeDynamics(0.6, 0.3), FailureModel.CANT_START)
+    result = pmf(path, 20_000)
+    assert not result.coeffs[5_000:].any()
+    assert result.tail_mass == 1.0 - math.fsum(result.coeffs.tolist())
+
+
 # At q = 1 resampled retransmission still crosses a link that has a length
 # below 2 (an attempt at it wins); these paths once raised InfiniteExpectation.
 @pytest.mark.parametrize("p", [1e-3, 0.3, 1.0])
@@ -818,6 +827,62 @@ def test_one_dynamics_batch_shares_its_laws_with_pmf(model):
     assert _gy_law.cache_info().misses == 1
     for row, path in zip(batch, paths):
         assert np.array_equal(row, ett(path)[1])
+
+
+def _spy_distinct(monkeypatch) -> list[tuple[int, int]]:
+    """Record (items, distinct items) for each call of ``pgf._distinct``."""
+    calls, real = [], pgf_module._distinct
+
+    def spy(items):
+        out = real(items)
+        calls.append((len(items), len(out[0])))
+        return out
+
+    monkeypatch.setattr(pgf_module, "_distinct", spy)
+    return calls
+
+
+@pytest.mark.parametrize("model", list(FailureModel))
+def test_equal_laws_count_once_whether_shared_or_not(model, monkeypatch):
+    # Each link holds one shared LengthDist per law, or a fresh equal one:
+    # the same bits, and each of the three laws built and fetched once.
+    rng = np.random.default_rng(13)
+    laws = (LengthDist.soa(), LengthDist.constant(3), LengthDist.from_pairs([(0, 0.5), (2, 0.5)]))
+    picks = rng.integers(len(laws), size=200).tolist()
+    x = tuple(rng.integers(0, 2, size=200).tolist())
+    shared = PathSpec(x, tuple(laws[i] for i in picks), EdgeDynamics(0.3, 0.2), model)
+    fresh = replace(shared, lengths=tuple(LengthDist(laws[i].values, laws[i].probs) for i in picks))
+    assert fresh.lengths == shared.lengths and fresh.lengths[0] is not shared.lengths[0]
+    calls = _spy_distinct(monkeypatch)
+    results = []
+    for path in (shared, fresh):
+        link_law.cache_clear()
+        batch = ett_batch([path])
+        fetched = link_law.cache_info()
+        results.append((batch, fetched, pmf(path, 300).coeffs, link_law.cache_info().misses))
+    _, fetched, _, misses = results[0]
+    assert fetched.hits == 0 and fetched.misses == misses == 3
+    assert calls.count((200, 3)) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+@pytest.mark.parametrize("model", list(FailureModel))
+def test_sweep_batch_with_equal_bit_tuples_matches_shared_bits(model, monkeypatch):
+    # A sweep whose paths hold equal but distinct bit tuples reads as one
+    # whose paths share one tuple: the same bits and the same law builds.
+    rng = np.random.default_rng(17)
+    lengths = tuple(ALL_LENGTHS[k] for k in rng.integers(4, size=150))
+    base = PathSpec(tuple(rng.integers(0, 2, size=150).tolist()), lengths, EdgeDynamics(0.5, 0.3), model)
+    shared = [replace(base, dynamics=EdgeDynamics(round(0.05 + 0.05 * i, 12), 0.3)) for i in range(19)]
+    fresh = [replace(path, x=tuple(list(path.x))) for path in shared]
+    assert fresh[1].x == shared[1].x and fresh[1].x is not shared[1].x
+    calls = _spy_distinct(monkeypatch)
+    results = []
+    for paths in (shared, fresh):
+        link_law.cache_clear()
+        results.append((ett_batch(paths), link_law.cache_info()))
+    assert calls.count((19, 1)) == 2  # one bit tuple to convert
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 def test_invalid_recurrence_names_its_dynamics():
