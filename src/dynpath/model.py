@@ -93,8 +93,8 @@ class LengthDist:
             raise ValueError(f"lengths must be nonnegative integers, got {self.values}")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"support values must be distinct, got {self.values}")
-        if any(pr <= 0.0 for pr in self.probs):
-            raise ValueError("probabilities must be strictly positive")
+        if not all(0.0 < pr <= 1.0 for pr in self.probs):  # NaN fails both comparisons
+            raise ValueError(f"probabilities must be finite and in (0, 1], got {self.probs}")
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {math.fsum(self.probs)}")
 

@@ -61,16 +61,19 @@ coefficient.  A polynomial stage widens it by its degree.  A division by
 to 0.  Past its input, each output is at most c(1) < 1 times the largest
 of the r before it, so every output set to 0 is below 2^-1022: the cut
 loses less than 2^-1022 per coefficient, where no value had relative
-accuracy anyway.  A stage costs O(w) for a window of w coefficients, at
-least min(k + 1, 2048) for a division, rather than O(k).  A recurrence of
-order r runs in blocks of B = 64 coefficients, with one loop of it
-giving a block's Toeplitz map of its inputs and its carry of the r
-outputs the blocks before it leave; a doubling scan over blocks (Kogge &
-Stone 1973) hands each block that state in ceil(log2(w/B)) vectorised
-steps of r x r products.  A recurrence with nonnegative coefficients,
-scan included, adds and never cancels, so rounding error stays relative
-to the coefficients it produces; one common denominator per law would not
-(expanding (1 - (1-p) z)^m amplifies rounding by about p^-m).
+accuracy anyway.  A stage costs O(w) for a window of w coefficients
+rather than O(k).  A recurrence of order r runs in blocks of B = max(64,
+r) coefficients, with one loop of it giving a block's Toeplitz map of its
+inputs and its carry of the r outputs the blocks before it leave; a
+doubling scan over blocks (Kogge & Stone 1973) hands each block that
+state in ceil(log2(w/B)) vectorised steps of r x r products.  Each of
+those products runs on chunks of 16 blocks, and a division's window is
+its input's live prefix and r more, rounded up to whole chunks, so no
+coefficient's bits depend on the window or on k.  A recurrence with
+nonnegative coefficients, scan included, adds and never cancels, so
+rounding error stays relative to the coefficients it produces; one common
+denominator per law would not (expanding (1 - (1-p) z)^m amplifies
+rounding by about p^-m).
 """
 
 from __future__ import annotations
@@ -91,8 +94,7 @@ _PMF_MAX_K = 10_000_000
 _BLOCK = 64  # coefficients per block of the blocked IIR recurrence
 _EPS = 2.0**-54  # the rows the table drops move the ETT by at most _EPS of it
 _TINY = 2.0**-1022  # the smallest normal double: a filter's output is 0 from its first r in a row below it
-_MIN_BLOCKS = 32  # a filter spans at least this many blocks, where BLAS gives the full series' bits
-_MARGIN_BLOCKS = 4  # a filter's first try runs this many blocks past its input
+_ROWS = 16  # rows of every block product: a row's bits then depend on its own inputs alone
 
 
 def _live(x: np.ndarray) -> int:
@@ -121,6 +123,11 @@ def _quiet_from(y: np.ndarray, lo: int, r: int) -> int | None:
         run &= quiet[j : j + run.size]
     t = int(run.argmax())
     return lo + t if run[t] else None
+
+
+def _chunked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an a of whole _ROWS-row chunks, one product of _ROWS rows per chunk."""
+    return (a.reshape(-1, _ROWS, a.shape[1]) @ b).reshape(a.shape[0], b.shape[1])
 
 
 def _guard_den(den) -> None:
@@ -238,30 +245,24 @@ class _Iir(LinkLaw):
 
     Series (D = 1) are filtered in blocks of B = max(_BLOCK, r)
     coefficients, r = len(c) - 1.  One loop of the recurrence writes each
-    output of a block from its inputs, a B x B Toeplitz map (one product
-    per block, O(k B) in all), and from the last r outputs of block b-1,
-    its state s_{b-1}, a B x r carry.  Then s_b = u_b + A s_{b-1}, u_b being
-    block b's own last r outputs and A the carry's last r rows, the r x r
-    state map.  A doubling scan solves that recurrence: step j adds
-    A^(2^j) s_{b-2^j} to every s_b at once, so ceil(log2(k/B)) steps of
-    O(k/B) r x r products each replace a loop over the k/B blocks, squaring
-    A once per step.  A, its powers and the carry are nonnegative, so every
-    addend is a nonnegative multiple of the input and the scan never
-    cancels.
+    output of a block from its inputs, a B x B Toeplitz map, and from the
+    last r outputs of block b-1, its state s_{b-1}, a B x r carry.  Then
+    s_b = u_b + A s_{b-1}, u_b being block b's own last r outputs and A the
+    carry's last r rows.  A doubling scan solves that: step j adds
+    A^(2^j) s_{b-2^j} to every s_b at once, squaring A once per step, so
+    ceil(log2(k/B)) steps replace a loop over the k/B blocks.  A, its
+    powers and the carry are nonnegative, so the scan never cancels.
 
-    ``apply`` filters the input's live prefix and _MARGIN_BLOCKS blocks
-    past it, at least _MIN_BLOCKS = 32 blocks, and cuts the output at the
-    first r outputs in a row below _TINY past the input.  When the margin
-    holds no such run, its last r outputs bound the rest: j r steps on,
-    every output is at most c(1)^j times their largest, so the next try
-    runs to where that falls below _TINY, or to the end of the series.  A
-    shorter try must give the whole series' bits, and BLAS picks its
-    kernel by row count: on the build measured, rows of a product of 32
-    rows or more got the bits they get in any longer product, but the
-    scan's r x r products needed up to 37 rows at r = 32.  So a recurrence
-    with 2r >= B always runs on the whole series: a window gives the whole
-    series' bits at the same k, but at k + 1 <= 1,152 (18 rows or fewer)
-    ``pmf(path, k)`` need not be a bit-prefix of a larger k's result.
+    Each product over blocks (the Toeplitz map, a scan step, the carry)
+    runs on whole chunks of _ROWS blocks, the maps held transposed as right
+    factors: BLAS picks its kernel by a product's shape (on the build
+    measured, products of 18 rows or fewer rounded some rows unlike longer
+    ones), so only a fixed shape gives each row the bits of its own inputs.
+    ``apply`` filters the input's live prefix and r more, rounded up to
+    whole chunks, and cuts the output at the first r outputs in a row
+    below _TINY past the input.  Failing that, each output j r steps on is
+    at most c(1)^j times the largest of the window's last r, so the next
+    try runs to where that falls below _TINY, rounded up likewise.
     """
 
     def __init__(self, c, slack, dyns):
@@ -309,44 +310,39 @@ class _Iir(LinkLaw):
         for t in range(width):
             y[r + t] = c[r:0:-1] @ y[t : r + t]
             y[r + t, t] += 1.0
-        return y[r:, :width], y[r:, width:]
+        return np.ascontiguousarray(y[r:, :width].T), np.ascontiguousarray(y[r:, width:].T)
 
     def apply(self, x, size):
         live = _live(x)
         if not live:
             return np.zeros(0)
-        width, r = self._blocks[1].shape
-        if 2 * r >= _BLOCK:  # a wide recurrence runs on the whole series (class docstring)
-            n = size
-        else:
-            n = min(size, max(_MIN_BLOCKS * width, live + _MARGIN_BLOCKS * width))
+        r, width = self._blocks[1].shape
+        n = live + r  # room for a quiet run past the input
         while True:
+            n = min(size, -(-n // (_ROWS * width)) * _ROWS * width)
             y = self._filter(x[:live], n)
             cut = _quiet_from(y, live, r)
             if cut is not None or n == size:
                 return y[:cut]
-            # Past the input, each output is at most c(1) times the largest
-            # of the r before it, so the quiet run starts by the step where
-            # c(1)^j times the last r outputs' largest drops below _TINY.
             decay = math.log(_TINY / y[-r:].max()) / math.log1p(-float(self.slack[0]))
-            n = min(size, n + r * (int(decay) + 1) + width)
+            n += r * (int(decay) + 1)  # rounded up, at least a chunk more
 
     def _filter(self, x, n):
         """The first n outputs for input x (shorter than n, zeros after it), by blocks."""
         toeplitz, carry = self._blocks
-        width, r = carry.shape
-        nb = -(-n // width)
+        r, width = carry.shape
+        nb = -(-n // (_ROWS * width)) * _ROWS  # whole chunks of blocks
         padded = np.zeros(nb * width)
         padded[: x.size] = x
-        y = padded.reshape(nb, width) @ toeplitz.T
+        y = _chunked(padded.reshape(nb, width), toeplitz)
         # The doubling scan: after the step that adds A^d s_{b-d}, s_b sums
         # A^i u_{b-i} over i < 2d.  The last block's state is never read.
-        s = y[:-1, -r:].copy()
-        power, d = carry[-r:], 1
-        while d < len(s):
-            s[d:] += s[:-d] @ power.T
+        s = y[:, -r:].copy()
+        power, d = carry[:, -r:], 1
+        while d < nb - 1:
+            s[d:] += _chunked(s, power)[:-d]
             power, d = power @ power, 2 * d
-        y[1:] += s @ carry.T
+        y[1:] += _chunked(s, carry)[:-1]
         return y.reshape(nb * width)[:n]
 
 
@@ -627,10 +623,10 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     stages, the sum through the link's ``link_law``.  Every factor and
     stage is nonnegative, so its sums never cancel.  g is carried as its
     live prefix, so a link costs O(w) per stage for a window of w
-    coefficients (at least min(k + 1, 2048) for a division stage), the P
-    vectors are formed at most a quarter past the widest window, and the
-    result is padded back to k + 1 coefficients.  When ``k`` is omitted it defaults
-    to ceil(20 * (ett + 1)).
+    coefficients (a division's rounded up to whole chunks of 16 blocks),
+    the P vectors are formed for one chunk, then at most a quarter past the
+    widest window, and the result is padded back to k + 1 coefficients,
+    whose bits do not depend on k.  ``k`` defaults to ceil(20 * (ett + 1)).
     """
     if k is None:
         total, _ = ett(path)
@@ -643,7 +639,7 @@ def pmf(path: PathSpec, k: int | None = None) -> TruncatedPmf:
     dyns = (dyn,)
     gy_law = _gy_law(dyns)
     size = k + 1
-    hi = min(size, _MIN_BLOCKS * _BLOCK)
+    hi = min(size, _ROWS * _BLOCK)
     found = _found(dyn, 0, hi)
     g = np.ones(1)  # the live prefix of G_0 = 1
     for xi, ld in zip(path.x, path.lengths):

@@ -237,12 +237,14 @@ def run_validation(max_n: int, inject_fault: bool = False) -> ValidationReport:
 
     One walk of the oracle grid checks the ETT for n <= max_n and the pmf
     for n <= min(max_n, 4); the closed-form reductions run their own fixed
-    grids.  A ``max_n`` above the exact engine's limit raises
-    ConfigurationError before any check runs.
+    grids.  A ``max_n`` of 0 is the empty grid; one below 0 or above the
+    exact engine's limit raises ConfigurationError before any check runs.
 
     ``inject_fault`` perturbs the analytic ETT before comparison; the run
     must then fail, which proves the harness can detect a broken build.
     """
+    if max_n < 0:
+        raise ConfigurationError(f"max_n must be >= 0, got {max_n}")
     report = ValidationReport()
     if max_n < 1:
         return report

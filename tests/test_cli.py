@@ -218,6 +218,15 @@ class TestEttCommand:
         code, _ = run_cli(["ett", "--config", str(cfg)])
         assert code == 1
 
+    def test_nan_length_probability_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.5\nq = 0.5\nmodel = resume\nedge = 1 pmf 1:nan 2:0.5\n")
+        code, text = run_cli(["ett", "--config", str(cfg)])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(0, 1]" in err and err.count("\n") == 1
+
     def test_missing_file_exits_1(self, tmp_path):
         code, _ = run_cli(["ett", "--config", str(tmp_path / "absent.txt")])
         assert code == 1
@@ -418,16 +427,25 @@ class TestValidateCommand:
         assert code == 1
         assert "result = FAIL" in text
 
-    def test_above_exact_limit_fails_before_any_check(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "max_n, err",
+        [
+            ("9", "exact engine supports n <= 8, got 9"),
+            ("-1", "max_n must be >= 0, got -1"),
+            ("-3", "max_n must be >= 0, got -3"),
+        ],
+        ids=["above_exact_limit", "minus_1", "minus_3"],
+    )
+    def test_max_n_out_of_range_fails_before_any_check(self, max_n, err, monkeypatch, capsys):
         def check_ran(*args, **kwargs):
             raise AssertionError("a check ran")
 
         for name in ("oracle_grid_checks", "reduction_checks", "eq1_discrepancy_table"):
             monkeypatch.setattr(validation, name, check_ran)
-        code, text = run_cli(["validate", "--max-n", "9"])
+        code, text = run_cli(["validate", "--max-n", max_n])
         assert code == 1
         assert text == ""
-        assert capsys.readouterr().err == "error: exact engine supports n <= 8, got 9\n"
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_grid_builds_each_chain_and_law_once(self):
         # One walk of the grid: a grid point's ETT batch and its pmfs share

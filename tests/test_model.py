@@ -1,6 +1,7 @@
 """Core model types and the two-state chain closed forms."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,10 @@ class TestLengthDist:
             [(0, 0.4), (2, 0.4)],  # does not sum to 1
             [(0, 1.5), (2, -0.5)],  # negative probability
             [(-1, 1.0)],  # negative length
+            [(1, math.nan), (2, 0.5)],  # NaN fails <= 0 and the sum test alike
+            [(1, math.nan)],
+            [(1, math.inf), (2, 0.5)],
+            [(1, 1.0 + 2e-16)],  # within the sum tolerance, but above 1
         ],
     )
     def test_rejects_bad_pmf(self, pairs):

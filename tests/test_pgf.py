@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from dataclasses import replace
 from unittest import mock
@@ -410,7 +411,7 @@ def _plain_recurrence(c, x):
     return y[:, r:]
 
 
-@pytest.mark.parametrize("order", [1, 3, 64, 70])
+@pytest.mark.parametrize("order", [1, 3, 31, 32, 64, 70])
 @pytest.mark.parametrize("slack", [0.5, 1e-3, 1e-9])
 def test_iir_apply_matches_plain_recurrence(order, slack):
     # Orders of at least _BLOCK make the block `order` wide.  The lengths
@@ -577,9 +578,10 @@ _WINDOW_PQ = [(0.999, 0.999), (1.0, 0.98), (0.8, 0.5), (0.05, 0.01), (0.4, 0.3)]
 @example(FailureModel.RESUME, (0.05, 0.01), [(0, LengthDist.constant(3))] * 5, 6620)  # reaches k
 @example(FailureModel.RETRANSMIT_IDENTICAL, (1.0, 0.001), [(1, LengthDist.constant(32))], 6620)  # order 32
 def test_windowed_pmf_matches_full_series_with_the_same_cut(model, pq, links, k):
-    # pmf runs each stage on its input's live window only, at least 32
-    # blocks wide, and an _Iir stage stops at its first quiet run; that
-    # must give the bits of every stage run over all k + 1 coefficients.
+    # pmf runs each stage on its input's live window only, rounded up to
+    # whole chunks of blocks, and an _Iir stage stops at its first quiet
+    # run; that must give the bits of every stage run over all k + 1
+    # coefficients.
     x, lengths = zip(*links)
     path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(*pq), model)
     if _never_crossed(model, pq[1], lengths):
@@ -587,20 +589,45 @@ def test_windowed_pmf_matches_full_series_with_the_same_cut(model, pq, links, k)
     assert np.array_equal(pmf(path, k).coeffs, _full_series_pmf(path, k))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 31])
-def test_filter_of_32_blocks_keeps_the_full_series_bits(order):
-    # A window of _MIN_BLOCKS blocks or more is a prefix of the full series
-    # only if BLAS gives a row of each block product the bits it has in a
-    # longer product; a BLAS build where it does not must fail here.
-    rng = np.random.default_rng(order)
-    c = np.concatenate(([0.0], rng.random(order)))
-    c[1:] *= 0.9 / math.fsum(c)
-    law = _Iir(c, 1.0 - math.fsum(c), ("c",))
-    x = rng.random(6621) * 0.1 ** rng.integers(0, 300, size=6621)
-    full = law.apply(x, x.size)
-    assert pgf_module._MIN_BLOCKS * pgf_module._BLOCK == 2048 and full.size == x.size
-    for n in (2048, 2049, 2048 + 2 * 64, 4096 + 2 * 64):  # 34 and 66 blocks: a 1-row scan step
-        assert np.array_equal(law.apply(x[:n], n), full[:n])
+def _seeded_links(tag, n, laws):
+    """The links bench/workloads.py builds for ``tag``: laws repeated to n and shuffled, then bits."""
+    rng = random.Random(tag)
+    lengths = (list(laws) * (n // len(laws) + 1))[:n]
+    rng.shuffle(lengths)
+    return [(rng.getrandbits(1), ld) for ld in lengths]
+
+
+# The benchmark's pmf_n100 path at seed 1, whose k <= 1,151 results once
+# differed from the first coefficients at k = 6,620 in 80 to 807 places.
+_PMF_N100 = (FailureModel.RESUME, (0.4, 0.3), _seeded_links("pmf_n100:1", 100, ALL_LENGTHS))
+# Orders 32 and 70 (a retransmitted constant length is a recurrence of its order)
+_WIDE_LENGTHS = st.sampled_from([LengthDist.constant(32), LengthDist.constant(70)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    model=st.sampled_from(list(FailureModel)),
+    pq=st.sampled_from(_WINDOW_PQ),
+    links=st.lists(
+        st.tuples(st.integers(0, 1), st.one_of(_length_dists(), _WIDE_LENGTHS)), min_size=1, max_size=5
+    ),
+    ks=st.lists(st.integers(1, 7000), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(*_PMF_N100, [300, 6620])
+@example(*_PMF_N100, [600, 6620])
+@example(*_PMF_N100, [1000, 6620])
+@example(*_PMF_N100, [1151, 6620])
+@example(FailureModel.RETRANSMIT_IDENTICAL, (1.0, 0.001), [(1, LengthDist.constant(32))], [1151, 6620])
+@example(FailureModel.RETRANSMIT_RESAMPLED, (0.8, 0.5), [(0, LengthDist.constant(70))] * 2, [300, 7000])
+def test_pmf_at_a_smaller_k_is_a_bit_prefix(model, pq, links, ks):
+    # Every block product of a filter runs on chunks of _ROWS rows, so a
+    # coefficient's bits do not depend on how far k lets the series run.
+    x, lengths = zip(*links)
+    path = PathSpec(tuple(x), tuple(lengths), EdgeDynamics(*pq), model)
+    if _never_crossed(model, pq[1], lengths):
+        return
+    k, wider = ks
+    assert np.array_equal(pmf(path, k).coeffs, pmf(path, wider).coeffs[: k + 1])
 
 
 def test_pmf_work_follows_the_live_window(monkeypatch):
