@@ -245,10 +245,18 @@ _SWEEP_MAX_POINTS = 100_000
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """The grid start + i*step up to stop, each point rounded to 12 decimals."""
+    """The grid start + i*step up to stop, each point rounded to 12 decimals.
+
+    A point past the first _SWEEP_MAX_POINTS raises, so a step too small to
+    move start (start + i*step == start at every i) ends too.
+    """
     values = []
     i = 0
-    while (v := start + i * step) <= stop + 1e-12:
+    while (v := start + i * step) <= stop + 1e-12:  # from > to is an empty grid
+        if i == _SWEEP_MAX_POINTS:
+            raise ConfigurationError(
+                f"sweep grid from {start} to {stop} step {step} has more than {_SWEEP_MAX_POINTS} points"
+            )
         values.append(round(v, 12))
         i += 1
     return values
@@ -264,10 +272,6 @@ def cmd_sweep(cfg: RunConfig, out) -> int:
         raise ConfigurationError(f"sweep range must be finite, got from {start} to {stop} step {step}")
     if step <= 0:
         raise ConfigurationError(f"sweep step must be positive, got {step}")
-    if (stop - start) / step >= _SWEEP_MAX_POINTS:  # from > to is an empty grid
-        raise ConfigurationError(
-            f"sweep grid from {start} to {stop} step {step} has more than {_SWEEP_MAX_POINTS} points"
-        )
     values = _sweep_values(start, stop, step)
     results = []
     if values:

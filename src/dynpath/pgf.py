@@ -184,51 +184,43 @@ class LinkLaw:
     value and slope at 1 are formed once, as ``_one``.
     """
 
-    def at_one(self, gain=None):
-        value, slope = self._one  # no gain: the slope itself, with no array product per call
-        return value, slope if gain is None else gain * slope
-
-
-class _Z(LinkLaw):
-    """z itself, a one-slot delay."""
-
-    _one = (1.0, 1.0)
-
-    def value(self, z):
-        return z
-
-    def apply(self, x, size):
-        out = np.empty(min(x.size + 1, size))
-        out[0] = 0.0
-        out[1:] = x[: out.size - 1]
-        return out
+    def at_one(self, gain=1.0):
+        value, slope = self._one
+        return value, gain * slope
 
 
 class _Poly(LinkLaw):
-    """sum_i a[i] w^i with every a[i] >= 0, in a law w that defaults to z."""
+    """sum_i a[i] z^i with every a[i] >= 0.
 
-    def __init__(self, a, w: LinkLaw = _Z()):
+    A polynomial in another law w, sum_i b[i] w^i, is the Horner cascade
+    b[0] + w (b[1] + w (... + w b[top])) written with ``_Sum``: the slope
+    of each level then comes from the cascade's product rule.
+    """
+
+    def __init__(self, a):
         a = _stack(a)
         if (a < 0.0).any():
             raise NumericalSingularity(f"polynomial stage with a negative coefficient: {a.tolist()}")
-        self.a, self.w, self._live = list(a), w, a.any(axis=1).tolist()
+        self.a, self._live = list(a), a.any(axis=1).tolist()
 
     def value(self, z):
-        return _horner(self.a, self.w.value(z), self._live)
+        return _horner(self.a, z, self._live)
 
     @cached_property
     def _one(self):
-        w1, slope = self.w.at_one()
         da = [i * ai for i, ai in enumerate(self.a)][1:] or [0.0]
-        return _horner(self.a, w1, self._live), _horner(da, w1, self._live[1:]) * slope
+        return _horner(self.a, 1.0, self._live), _horner(da, 1.0, self._live[1:])
 
     def apply(self, x, size):
         acc = self.a[-1] * x  # D = 1: each row is one coefficient
         for ai, on in zip(self.a[-2::-1], self._live[-2::-1]):
-            acc = self.w.apply(acc, size)
+            acc = np.concatenate(([0.0], acc[: size - 1]))  # times z
             if on:
                 acc = _add(acc, ai * x)
         return acc
+
+
+_Z = _Poly((0.0, 1.0))  # z itself, a one-slot delay
 
 
 class _Iir(LinkLaw):
@@ -412,26 +404,25 @@ def link_law(model: FailureModel, dyns: tuple[EdgeDynamics, ...], length: Length
     q = np.array([dyn.q for dyn in dyns])
     top = length.max_value
     atoms = list(zip(length.values, length.probs))
-    if model is FailureModel.CANT_START or (model is FailureModel.RESUME and top <= 1):
-        # A resumed crossing of at most one slot has no seam for an outage to
-        # interrupt, so it crosses as a can't-start one does.
-        b = [0.0] * (top + 1)
-        for v, pr in atoms:
-            b[v] = pr
+    b = [0.0] * (top + 1)  # b[v] = P(length = v)
+    for v, pr in atoms:
+        b[v] = pr
+    if model is FailureModel.CANT_START:
         return _Poly(b)
     if model is FailureModel.RESUME:
-        # Crossing needs d cumulative on-slots; each of the d-1 seams is a
-        # (1-q) pass-through or a q-weighted geometric outage, so
-        # F_1 = pr_0 + z P(w) with w = (1-q) z + q z G_Y and P(w) = sum pr_v w^(v-1).
-        a = [0.0] * top
-        terms = []
-        for v, pr in atoms:
-            if v == 0:
-                terms.append((_Poly((pr,)),))
-            else:
-                a[v - 1] = pr
+        # Crossing needs v cumulative on-slots: the first takes one slot and
+        # each of the v-1 seams after it is a (1-q) pass-through or a
+        # q-weighted geometric outage, so F_1 = b[0] + z P(w) with
+        # w = (1-q) z + q z G_Y and P(w) = sum_v b[v] w^(v-1).  Horner's rule
+        # writes it as one cascade per level, b[i] + (the level above) w,
+        # with z in place of w at the bottom; a length of at most one slot
+        # has no seam, and the loop gives the can't-start polynomial.
         w = _Sum((_Poly((0.0, 1.0 - q)),), (_Poly((0.0, q)), _gy_law(dyns)))
-        return _Sum((_Z(), _Poly(a, w)), *terms)
+        law = _Poly(b[-1:])
+        for i in range(top - 1, -1, -1):
+            step = (law, w) if i else (_Z, law)
+            law = _Sum(step, (_Poly((b[i],)),)) if b[i] else _Sum(step)
+        return law
     if model is FailureModel.RETRANSMIT_IDENTICAL:
         # Condition on the realized length v.  An attempt survives v slots
         # with probability (1-q)^(v-1); each failure costs the partial on-run

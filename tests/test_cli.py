@@ -534,8 +534,12 @@ class TestSweepCommand:
             ("", ["--param", "p", "--from", "0.1", "--to", "inf", "--step", "0.1"]),
             ("", ["--param", "p", "--from", "0.1", "--to", "0.2", "--step", "1e-300"]),
             ("", ["--param", "p", "--from", "nan", "--to", "0.5", "--step", "0.1"]),
+            # 0.5 + i * 1e-300 rounds to 0.5 at every i: the grid never passes its end
+            ("", ["--param", "p", "--from", "0.5", "--to", "0.5", "--step", "1e-300"]),
         ],
-        ids=["zero_step", "config_param_x", "no_options", "infinite_to", "runaway_grid", "nan_from"],
+        ids=[
+            "zero_step", "config_param_x", "no_options", "infinite_to", "runaway_grid", "nan_from", "stuck_point"
+        ],
     )
     def test_bad_sweep_options_exit_1(self, tmp_path, capsys, extra, args):
         cfg = tmp_path / "c.txt"

@@ -190,6 +190,15 @@ class TestSteadyState:
     def test_printed_pmf_below_minimum_latency(self):
         assert steady_pmf_as_printed(EdgeDynamics(0.4, 0.2), 3, 5, 4) == 0.0
 
+    @pytest.mark.parametrize(
+        "q,n,D,message",
+        [(0.0, 2, 1, "q > 0"), (0.2, 0, 1, "n >= 1"), (0.2, 2, -1, "D >= 0")],
+        ids=["q_zero", "n_zero", "negative_D"],
+    )
+    def test_printed_pmf_rejects_bad_inputs(self, q, n, D, message):
+        with pytest.raises(ValueError, match=message):
+            steady_pmf_as_printed(EdgeDynamics(0.4, q), n, D, 3)
+
     def test_printed_pmf_known_discrepancy(self):
         # The transcription gives 0.125 at (n=2, D=0, t=1); the exact forward
         # propagation gives a different value.  The gap is recorded behavior,
@@ -226,6 +235,15 @@ class TestMaxGeometric:
     def test_nondecreasing(self, p):
         values = [max_geom_ett(k, p) for k in range(0, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "n_hat,p,message",
+        [(2, 0.0, "p must"), (2, 1.5, "p must"), (2, math.nan, "p must"), (-1, 0.5, "n_hat")],
+        ids=["p_zero", "p_above_1", "p_nan", "negative_n_hat"],
+    )
+    def test_rejects_bad_inputs(self, n_hat, p, message):
+        with pytest.raises(ValueError, match=message):
+            max_geom_ett(n_hat, p)
 
     def test_precision_limit_enforced(self):
         with pytest.raises(ConfigurationError):

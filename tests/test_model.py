@@ -123,6 +123,9 @@ class TestTransientProb:
             transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, -1)
         with pytest.raises(ValueError):
             transient_prob(EdgeDynamics(0.5, 0.5), 0, 1, np.array([3, -1]))
+        for a, b in ((2, 1), (0, -1)):
+            with pytest.raises(ValueError, match="states must be 0 or 1"):
+                transient_prob(EdgeDynamics(0.5, 0.5), a, b, 3)
 
 
 class TestStationary:
@@ -167,6 +170,11 @@ class TestLengthDist:
     def test_rejects_bad_pmf(self, pairs):
         with pytest.raises(ValueError):
             LengthDist.from_pairs(pairs)
+
+    @pytest.mark.parametrize("values,probs", [((), ()), ((0, 2), (1.0,))], ids=["empty", "unequal"])
+    def test_constructor_rejects_empty_or_unequal_support(self, values, probs):
+        with pytest.raises(ValueError, match="non-empty and equal length"):
+            LengthDist(values, probs)
 
 
 class TestPathSpec:

@@ -19,7 +19,7 @@ from dynpath import pgf as pgf_module
 from dynpath.model import EdgeDynamics, FailureModel, LengthDist, PathSpec, transient_prob, uniform_path
 from dynpath.oracle import exact_ett_dp, exact_pmf_dp
 from dynpath.pgf import TruncatedPmf, ett, ett_batch, link_law, pmf
-from dynpath.pgf import _gy_law, _Iir, _Poly, _Sum, _Z
+from dynpath.pgf import _gy_law, _Iir, _Poly, _Sum
 
 ALL_LENGTHS = [
     LengthDist.cut(),
@@ -446,7 +446,9 @@ def test_law_readers_agree():
     zs = np.array([-0.5, 0.1, 0.3, 0.5, 0.9])
     pqs = [(0.5, 0.5), (0.3, 0.2), (0.9, 0.05), (0.05, 0.3), (0.2, 0.9)]
     kept = 0
-    for model, length in itertools.product(FailureModel, ALL_LENGTHS[1:]):
+    # Three seam levels under resume, with length 3 missing and length 0 present
+    deep = LengthDist.from_pairs([(0, 0.1), (1, 0.2), (2, 0.3), (4, 0.4)])
+    for model, length in itertools.product(FailureModel, [*ALL_LENGTHS[1:], deep]):
         dyns = tuple(EdgeDynamics(p, q) for p, q in pqs)
         for dyn in dyns:
             law = link_law(model, (dyn,), length)
@@ -467,6 +469,27 @@ def test_law_readers_agree():
         for got, parts in zip(wide.at_one(), zip(*(law.at_one() for law in one))):
             assert np.array_equal(np.broadcast_to(got, len(dyns)), np.ravel(parts))
     assert kept >= 80
+
+
+@pytest.mark.parametrize(
+    "length", [LengthDist.cut(), LengthDist.soa(), LengthDist.from_pairs([(0, 0.3), (1, 0.7)])]
+)
+def test_resume_without_a_seam_is_cant_start(length):
+    # A crossing of at most one slot has no seam for an outage to interrupt:
+    # the resume law reads as the can't-start polynomial, bit for bit.
+    pqs = [(1e-320, 0.5), (1.0, 1.0), (0.3, 0.2), (1e-3, 1.0), (0.7, 0.0)]
+    for dyns in [tuple(EdgeDynamics(p, q) for p, q in pqs)] + [(EdgeDynamics(p, q),) for p, q in pqs]:
+        resume = link_law(FailureModel.RESUME, dyns, length)
+        cant = link_law(FailureModel.CANT_START, dyns, length)
+        grid = np.column_stack([Z_GRID] * len(dyns))
+        got, want = (np.broadcast_to(law.value(grid), grid.shape) for law in (resume, cant))
+        assert np.array_equal(got, want)  # a constant law gives one row
+        for got, want in zip(resume.at_one(), cant.at_one()):
+            assert np.array_equal(got, want)
+        if len(dyns) == 1:
+            x = np.random.default_rng(7).random(50)
+            assert np.array_equal(resume.apply(x, 40), cant.apply(x, 40))
+            assert np.array_equal(resume.apply(x, 60), cant.apply(x, 60))
 
 
 # p and q with extra weight at and near both ends of their ranges
@@ -523,12 +546,10 @@ def _full_apply(law, x):
     nonzero coefficient of its input, r being the stage's order; the
     stage's output is set to 0 from the run's first coefficient on.
     """
-    if isinstance(law, _Z):
-        return np.concatenate(([0.0], x[:-1]))
     if isinstance(law, _Poly):
         acc = law.a[-1] * x
         for ai in law.a[-2::-1]:
-            acc = _full_apply(law.w, acc) + ai * x  # adding 0 * x keeps every bit
+            acc = np.concatenate(([0.0], acc[:-1])) + ai * x  # adding 0 * x keeps every bit
         return acc
     if isinstance(law, _Sum):
         outs = []
