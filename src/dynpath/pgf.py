@@ -338,32 +338,72 @@ class _Iir(LinkLaw):
         return y.reshape(nb * width)[:n]
 
 
+def _run(reader):
+    """The result of a ``_Sum`` reader, a generator that yields the readers of the ``_Sum``s it holds.
+
+    A resume law nests one ``_Sum`` per slot of length: the nested readers
+    wait on this list, not on Python's call stack, which would run out.
+    """
+    stack, got = [reader], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(got))
+            got = None
+        except StopIteration as done:
+            stack.pop()
+            got = done.value
+    return got
+
+
 class _Sum(LinkLaw):
-    """Sum of cascades: each term is a nonempty tuple of laws applied in turn."""
+    """Sum of cascades: each term is a nonempty tuple of laws applied in turn.
+
+    Its readers are generators under ``_run``; ``value`` reads a law that
+    many terms share, as a resume law's levels share w, once per call.
+    """
 
     def __init__(self, *terms: tuple[LinkLaw, ...]):
         self.terms = terms
 
-    def value(self, z):
-        return sum(math.prod(law.value(z) for law in term) for term in self.terms)
-
     @cached_property
     def _one(self):
+        return _run(self._at_one())
+
+    def _at_one(self):
         total, slope = 0.0, 0.0
         for term in self.terms:
             v, d = 1.0, 0.0
             for law in term:
+                if isinstance(law, _Sum) and "_one" not in vars(law):
+                    vars(law)["_one"] = yield law._at_one()  # where cached_property keeps it
                 lv, ld = law.at_one(v)  # ld: v times the law's slope
                 v, d = v * lv, d * lv + ld
             total, slope = total + v, slope + d
         return total, slope
 
+    def value(self, z):
+        return _run(self._value(z, {}))
+
+    def _value(self, z, known):
+        prods = []
+        for term in self.terms:
+            vals = []
+            for law in term:
+                if law not in known:
+                    known[law] = (yield law._value(z, known)) if isinstance(law, _Sum) else law.value(z)
+                vals.append(known[law])
+            prods.append(math.prod(vals))
+        return sum(prods)
+
     def apply(self, x, size):
+        return _run(self._apply(x, size))
+
+    def _apply(self, x, size):
         out = None
         for term in self.terms:
             y = x
             for law in term:
-                y = law.apply(y, size)
+                y = (yield law._apply(y, size)) if isinstance(law, _Sum) else law.apply(y, size)
             out = y if out is None else _add(out, y)  # every law returns a new array
         return out
 

@@ -179,6 +179,22 @@ class TestEttCommand:
         assert code == 0
         assert float(kv(text)["ett"]) == pytest.approx(1.0)
 
+    def test_long_resume_link_runs_in_every_command(self, tmp_path):
+        # A resume law nests one stage per slot of length, 3,000 here, past
+        # Python's recursion limit.  Found on, the link crosses in
+        # L + (L - 1) q / p slots on average.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 0.5\nq = 0.25\nmodel = resume\nedge = 1 3000\n")
+        code, text = run_cli(["ett", "--config", str(cfg)])
+        assert (code, kv(text)["ett"]) == (0, "4499.5")
+        code, text = run_cli(
+            ["sweep", "--config", str(cfg), "--param", "q", "--from", "0.25", "--to", "0.5", "--step", "0.25"]
+        )
+        assert (code, text) == (0, "param,value,ett\nq,0.25,4499.5\nq,0.5,5999\n")
+        code, text = run_cli(["pmf", "--config", str(cfg), "--k", "3500"])
+        assert code == 0
+        assert math.fsum(map(float, kv(text).values())) == pytest.approx(1.0, abs=1e-9)  # the tail included
+
     def test_divergent_exits_2(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("p = 0.5\nq = 1\nmodel = retransmit_identical\nedge = 1 2\n")

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -490,6 +491,80 @@ def test_resume_without_a_seam_is_cant_start(length):
             x = np.random.default_rng(7).random(50)
             assert np.array_equal(resume.apply(x, 40), cant.apply(x, 40))
             assert np.array_equal(resume.apply(x, 60), cant.apply(x, 60))
+
+
+class _SeamPoly:
+    """sum_i a[i] w^i for a law w, each reader one loop: resume's seams written apart from link_law."""
+
+    def __init__(self, a, w):
+        self.a, self.w = a, w
+
+    def value(self, z):
+        wz, acc = self.w.value(z), self.a[-1]
+        for ai in self.a[-2::-1]:
+            acc = acc * wz + ai if ai else acc * wz
+        return acc
+
+    def at_one(self, gain=1.0):
+        w1, w_slope = self.w.at_one()
+        value, slope = self.a[-1], (len(self.a) - 1) * self.a[-1]
+        for i in range(len(self.a) - 2, -1, -1):
+            value = value * w1 + self.a[i]
+            slope = slope * w1 + i * self.a[i] if i else slope
+        return value, gain * (slope * w_slope)
+
+    def apply(self, x, size):
+        acc = self.a[-1] * x
+        for ai in self.a[-2::-1]:
+            acc = self.w.apply(acc, size)
+            if ai:
+                acc = pgf_module._add(acc, ai * x)
+        return acc
+
+
+def _resume_as_seam_poly(dyns, length):
+    """F_1 = b[0] + z sum_v b[v] w^(v-1), w = (1-q) z + q z G_Y, with the seam polynomial read by loops."""
+    q = np.array([dyn.q for dyn in dyns])
+    w = _Sum((_Poly((0.0, 1.0 - q)),), (_Poly((0.0, q)), _gy_law(dyns)))
+    b = dict(zip(length.values, length.probs))
+    seams = _SeamPoly([b.get(v, 0.0) for v in range(1, length.max_value + 1)], w)
+    return _Sum((pgf_module._Z, seams), *([(_Poly((b[0],)),)] if 0 in b else []))
+
+
+@pytest.mark.parametrize(
+    "length",
+    [LengthDist.constant(1000), LengthDist.from_pairs([(0, 0.1), (3, 0.4), (1000, 0.5)])],
+    ids=["constant", "top_1000"],
+)
+def test_long_resume_law_reads_as_its_seam_polynomial(length, monkeypatch):
+    # A resume law nests one _Sum per slot of length, past Python's
+    # recursion limit here.  Its readers hold the nesting on a stack of
+    # their own and must read as the seam polynomial's loops do: value,
+    # apply, pmf and every ett_batch bit except the slope, which the
+    # cascade forms by the product rule.
+    assert length.max_value >= sys.getrecursionlimit()
+    dyns = (EdgeDynamics(0.4, 0.3), EdgeDynamics(0.05, 0.6), EdgeDynamics(0.9, 0.02))
+    law, want = link_law(FailureModel.RESUME, dyns, length), _resume_as_seam_poly(dyns, length)
+    grid = np.column_stack([Z_GRID] * len(dyns))
+    assert np.array_equal(law.value(grid), want.value(grid))
+    (got_one, got_slope), (want_one, want_slope) = law.at_one(), want.at_one()
+    assert np.array_equal(got_one, want_one)
+    np.testing.assert_allclose(got_slope, want_slope, rtol=1e-13, atol=0)
+    # each seam adds q E[Y] = q / p slots
+    seams = math.fsum(max(v - 1, 0) * pr for v, pr in zip(length.values, length.probs))
+    mean = math.fsum(v * pr for v, pr in zip(length.values, length.probs))
+    np.testing.assert_allclose(got_slope, [mean + seams * d.q / d.p for d in dyns], rtol=1e-12, atol=0)
+    x, one = np.random.default_rng(3).random(30), (dyns[0],)
+    got_apply = link_law(FailureModel.RESUME, one, length).apply(x, 3000)
+    assert np.array_equal(got_apply, _resume_as_seam_poly(one, length).apply(x, 3000))
+
+    paths = [PathSpec((0, 1), (length,) * 2, dyn, FailureModel.RESUME) for dyn in dyns]
+    got = ett_batch(paths)
+    assert np.array_equal(np.array([ett(path)[1] for path in paths]), got)
+    got_pmf = pmf(paths[0], 2500).coeffs
+    monkeypatch.setattr(pgf_module, "link_law", lambda model, dyns, ld: _resume_as_seam_poly(dyns, ld))
+    np.testing.assert_allclose(got, ett_batch(paths), rtol=1e-13, atol=0)
+    assert np.array_equal(got_pmf, pmf(paths[0], 2500).coeffs)
 
 
 # p and q with extra weight at and near both ends of their ranges
